@@ -45,12 +45,16 @@ const PREDICTORS: [&str; 10] = [
     "not-taken",
 ];
 
-const MECHANISMS: [&str; 6] = [
+const MECHANISMS: [&str; 8] = [
     "cir:8",
     "ones-count:8",
     "saturating:16",
     "resetting:16",
+    // The three §3.2 variants; only the last mixes PC and BHR into the
+    // level-2 slot as well as the level-1 CIR.
+    "two-level:pc-cir",
     "two-level:pcxorbhr-cir",
+    "two-level:pcxorbhr-cirxorpcxorbhr",
     // Shadow-predictor mechanism: also scalar on both sides.
     "self:tage:10:4:2:32:9",
 ];

@@ -185,29 +185,31 @@ impl IndexSpec {
         self.sources.contains(&IndexSource::GlobalCir)
     }
 
-    /// Precompiles the spec for hot loops: specs that combine only PC
-    /// and/or BHR by XOR reduce to two masked XOR terms, letting batch
-    /// kernels skip the per-record source interpreter. Returns `None` for
-    /// everything else (CIR/global-CIR sources, concatenation).
-    pub fn compile_pc_bhr_xor(&self) -> Option<PcBhrXor> {
+    /// Precompiles the spec for hot loops: specs that combine only PC,
+    /// BHR and/or the level-one CIR by XOR reduce to three masked XOR
+    /// terms, letting batch kernels skip the per-record source
+    /// interpreter. Returns `None` for everything else (global-CIR
+    /// sources, concatenation).
+    pub fn compile_xor(&self) -> Option<XorIndex> {
         if self.combine != Combine::Xor {
             return None;
         }
-        let mut use_pc = false;
-        let mut use_bhr = false;
+        let mask = (1u64 << self.bits) - 1;
+        let mut compiled = XorIndex {
+            pc: 0,
+            bhr: 0,
+            cir: 0,
+        };
         for s in &self.sources {
+            // XOR semantics: repeated sources cancel pairwise.
             match s {
-                // XOR semantics: repeated sources cancel pairwise.
-                IndexSource::Pc => use_pc = !use_pc,
-                IndexSource::Bhr => use_bhr = !use_bhr,
-                IndexSource::Cir | IndexSource::GlobalCir => return None,
+                IndexSource::Pc => compiled.pc ^= mask,
+                IndexSource::Bhr => compiled.bhr ^= mask,
+                IndexSource::Cir => compiled.cir ^= mask,
+                IndexSource::GlobalCir => return None,
             }
         }
-        Some(PcBhrXor {
-            use_pc,
-            use_bhr,
-            mask: (1u64 << self.bits) - 1,
-        })
+        Some(compiled)
     }
 
     /// Computes the table index for the given inputs.
@@ -241,28 +243,23 @@ impl IndexSpec {
     }
 }
 
-/// Precompiled XOR index over PC and/or BHR — see
-/// [`IndexSpec::compile_pc_bhr_xor`]. Computes exactly what
-/// [`IndexSpec::index`] would for the same spec.
+/// Precompiled XOR index over PC, BHR and the level-one CIR — see
+/// [`IndexSpec::compile_xor`]. Computes exactly what [`IndexSpec::index`]
+/// would for the same spec. Each field is the output mask if its source
+/// takes part and 0 if not, so the index is branchless.
 #[derive(Debug, Clone, Copy)]
-pub struct PcBhrXor {
-    use_pc: bool,
-    use_bhr: bool,
-    mask: u64,
+pub struct XorIndex {
+    pc: u64,
+    bhr: u64,
+    cir: u64,
 }
 
-impl PcBhrXor {
-    /// The table index for `(pc, bhr)`.
+impl XorIndex {
+    /// The table index for `(pc, bhr)` and the level-one CIR `cir` (pass 0
+    /// for a first-level or one-level spec, which never reads it).
     #[inline]
-    pub fn index(self, pc: u64, bhr: u64) -> usize {
-        let mut acc = 0u64;
-        if self.use_pc {
-            acc ^= pc >> 2;
-        }
-        if self.use_bhr {
-            acc ^= bhr;
-        }
-        (acc & self.mask) as usize
+    pub fn index(self, pc: u64, bhr: u64, cir: u64) -> usize {
+        (((pc >> 2) & self.pc) ^ (bhr & self.bhr) ^ (cir & self.cir)) as usize
     }
 }
 
@@ -347,6 +344,43 @@ mod tests {
         });
         assert_eq!(idx, 0b111000);
         assert!(spec.uses_global_cir());
+    }
+
+    #[test]
+    fn compiled_xor_matches_interpreter() {
+        let specs = [
+            IndexSpec::pc(10),
+            IndexSpec::bhr(7),
+            IndexSpec::pc_xor_bhr(16),
+            IndexSpec::cir(4),
+            IndexSpec::cir_xor_pc_xor_bhr(12),
+            // Repeated sources cancel: this is BHR alone.
+            IndexSpec::new(
+                vec![IndexSource::Pc, IndexSource::Bhr, IndexSource::Pc],
+                Combine::Xor,
+                9,
+            ),
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for spec in &specs {
+            let fast = spec.compile_xor().unwrap();
+            for _ in 0..200 {
+                x = x.rotate_left(17).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let inputs = IndexInputs {
+                    pc: x,
+                    bhr: x.rotate_left(23),
+                    cir: x >> 40,
+                    global_cir: 0,
+                };
+                assert_eq!(
+                    fast.index(inputs.pc, inputs.bhr, inputs.cir),
+                    spec.index(inputs),
+                    "{spec}"
+                );
+            }
+        }
+        assert!(IndexSpec::global_cir(6).compile_xor().is_none());
+        assert!(IndexSpec::pc_concat_bhr(8).compile_xor().is_none());
     }
 
     #[test]

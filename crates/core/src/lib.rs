@@ -69,7 +69,7 @@ pub mod two_level;
 pub use adaptive::AdaptiveEstimator;
 pub use cir::Cir;
 pub use estimator::{Confidence, ConfidenceEstimator, LowRule, ThresholdEstimator};
-pub use index::{Combine, IndexInputs, IndexSource, IndexSpec, PcBhrXor};
+pub use index::{Combine, IndexInputs, IndexSource, IndexSpec, XorIndex};
 pub use init::InitPolicy;
 pub use multi_level::{ClassStats, MultiLevelEstimator};
 pub use self_confidence::SelfConfidence;

@@ -15,9 +15,9 @@
 //!   reduction closely and is the paper's recommended practical design.
 
 use crate::cir::Cir;
-use crate::index::{IndexInputs, IndexSpec, PcBhrXor};
+use crate::index::{IndexInputs, IndexSpec, XorIndex};
 use crate::init::InitPolicy;
-use crate::table::CirTable;
+use crate::table::{prefetch_slot, CirTable};
 use crate::ConfidenceMechanism;
 
 /// Width of the global CIR maintained for `GlobalCir`-indexed mechanisms.
@@ -34,31 +34,33 @@ fn check_not_second_level(index: &IndexSpec) {
 /// kernel's lane-group width).
 const FAST_BLOCK: usize = 64;
 
-/// Two-phase gather driver for the compiled PC⊕BHR fast path shared by the
-/// one-level mechanisms: slots for the *next* 64-record sub-chunk are
-/// computed (a tight vectorizable loop) and prefetched while the current
-/// sub-chunk is applied serially. The apply pass must stay serial and in
-/// order — aliasing records in one batch must observe each other's updates.
+/// Two-phase gather driver for the compiled-XOR fast path shared by the
+/// one- and two-level mechanisms: slots for the *next* 64-record sub-chunk
+/// are computed (a tight vectorizable loop) and prefetched while the
+/// current sub-chunk is applied serially. The apply pass must stay serial
+/// and in order — aliasing records in one batch must observe each other's
+/// updates.
 ///
-/// `rmw(storage, slot, correct)` performs one read-modify-write and
-/// returns the pre-update key.
+/// `fast` computes the gathered slot, a one-level or first-level one, so
+/// its level-one CIR term is 0. `rmw(storage, slot, pc, bhr, correct)`
+/// performs one record's read-modify-write and returns the pre-update key.
 #[allow(clippy::too_many_arguments)] // internal kernel driver: parallel record slices
-fn fast_batch<S>(
+pub(crate) fn fast_batch<S>(
     storage: &mut S,
-    fast: PcBhrXor,
+    fast: XorIndex,
     pcs: &[u64],
     bhrs: &[u64],
     correct: &[bool],
     keys: &mut [u64],
     prefetch: impl Fn(&S, usize),
-    rmw: impl Fn(&mut S, usize, bool) -> u64,
+    rmw: impl Fn(&mut S, usize, u64, u64, bool) -> u64,
 ) {
     let n = pcs.len();
     let mut cur = [0u32; FAST_BLOCK];
     let mut nxt = [0u32; FAST_BLOCK];
     let fill = |out: &mut [u32], pcs: &[u64], bhrs: &[u64]| {
         for (slot, (&pc, &h)) in out.iter_mut().zip(pcs.iter().zip(bhrs)) {
-            *slot = fast.index(pc, h) as u32;
+            *slot = fast.index(pc, h, 0) as u32;
         }
     };
     let mut start = 0;
@@ -80,9 +82,13 @@ fn fast_batch<S>(
                 prefetch(storage, s as usize);
             }
         }
-        let out = &mut keys[start..start + c];
-        for ((&slot, &ok), key) in cur[..c].iter().zip(&correct[start..start + c]).zip(out) {
-            *key = rmw(storage, slot as usize, ok);
+        let block = start..start + c;
+        let records = pcs[block.clone()]
+            .iter()
+            .zip(&bhrs[block.clone()])
+            .zip(&correct[block.clone()]);
+        for ((&slot, ((&pc, &h), &ok)), key) in cur[..c].iter().zip(records).zip(&mut keys[block]) {
+            *key = rmw(storage, slot as usize, pc, h, ok);
         }
         std::mem::swap(&mut cur, &mut nxt);
         start = next_start;
@@ -105,27 +111,6 @@ fn load_counters(into: &mut [u32], values: &[u32], max: u32, what: &str) -> Resu
     }
     into.copy_from_slice(values);
     Ok(())
-}
-
-/// Prefetches (x86_64) or touches (elsewhere) the slice element at `i`.
-/// Out-of-range indices are ignored.
-#[inline]
-fn touch<T: Copy>(values: &[T], i: usize) {
-    if let Some(v) = values.get(i) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `v` is a live reference, so the pointer is valid;
-        // prefetch has no architectural side effects.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch(
-                (v as *const T).cast::<i8>(),
-                core::arch::x86_64::_MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            std::hint::black_box(*v);
-        }
-    }
 }
 
 /// One-level CIR table: the generic mechanism of Fig. 3.
@@ -217,7 +202,7 @@ impl ConfidenceMechanism for OneLevelCir {
         );
         // One slot computation serves both halves: `read_key` and `update`
         // see the same pre-update global CIR, so the slot is the same.
-        if let Some(fast) = self.index.compile_pc_bhr_xor() {
+        if let Some(fast) = self.index.compile_xor() {
             // Fast-path slots do not read the global CIR, so its pushes can
             // be replayed after the table pass with identical final state.
             fast_batch(
@@ -228,7 +213,7 @@ impl ConfidenceMechanism for OneLevelCir {
                 correct,
                 keys,
                 CirTable::prefetch,
-                |t, slot, ok| {
+                |t, slot, _, _, ok| {
                     let key = t.get(slot).value() as u64;
                     t.record(slot, ok);
                     key
@@ -449,7 +434,7 @@ impl ConfidenceMechanism for SaturatingConfidence {
             pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
             "observe_batch slices must have equal lengths"
         );
-        if let Some(fast) = self.index.compile_pc_bhr_xor() {
+        if let Some(fast) = self.index.compile_xor() {
             let max = self.max;
             fast_batch(
                 &mut self.counters,
@@ -458,8 +443,8 @@ impl ConfidenceMechanism for SaturatingConfidence {
                 bhrs,
                 correct,
                 keys,
-                |values, i| touch(values, i),
-                |values, slot, ok| {
+                |values, i| prefetch_slot(values, i),
+                |values, slot, _, _, ok| {
                     let v = values[slot];
                     let c = ok as u32;
                     values[slot] = v + (c & (v < max) as u32) - ((1 - c) & (v > 0) as u32);
@@ -613,7 +598,7 @@ impl ConfidenceMechanism for ResettingConfidence {
             pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
             "observe_batch slices must have equal lengths"
         );
-        if let Some(fast) = self.index.compile_pc_bhr_xor() {
+        if let Some(fast) = self.index.compile_xor() {
             let max = self.max;
             fast_batch(
                 &mut self.counters,
@@ -622,8 +607,8 @@ impl ConfidenceMechanism for ResettingConfidence {
                 bhrs,
                 correct,
                 keys,
-                |values, i| touch(values, i),
-                |values, slot, ok| {
+                |values, i| prefetch_slot(values, i),
+                |values, slot, _, _, ok| {
                     let v = values[slot];
                     values[slot] = (ok as u32) * (v + (v < max) as u32);
                     v as u64

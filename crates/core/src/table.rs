@@ -3,6 +3,27 @@
 use crate::cir::Cir;
 use crate::init::InitPolicy;
 
+/// Prefetches (x86_64) or touches (elsewhere) the slice element at `i`.
+/// Out-of-range indices are ignored.
+#[inline]
+pub(crate) fn prefetch_slot<T: Copy>(values: &[T], i: usize) {
+    if let Some(v) = values.get(i) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `v` is a live reference, so the pointer is valid;
+        // prefetch has no architectural side effects.
+        unsafe {
+            core::arch::x86_64::_mm_prefetch(
+                (v as *const T).cast::<i8>(),
+                core::arch::x86_64::_MM_HINT_T0,
+            );
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            std::hint::black_box(*v);
+        }
+    }
+}
+
 /// A table of `2^index_bits` CIRs of `width` bits each.
 ///
 /// This is the full-length-CIR organization of Fig. 3; the compressed
@@ -99,21 +120,7 @@ impl CirTable {
     /// prefetch, plain touch elsewhere). Out-of-range indices are ignored.
     #[inline]
     pub fn prefetch(&self, index: usize) {
-        if let Some(e) = self.entries.get(index) {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `e` is a live reference, so the pointer is valid;
-            // prefetch has no architectural side effects.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    (e as *const Cir).cast::<i8>(),
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                std::hint::black_box(*e);
-            }
-        }
+        prefetch_slot(&self.entries, index);
     }
 
     /// The raw bit pattern of every entry, in index order — the table's

@@ -10,6 +10,7 @@
 use crate::cir::Cir;
 use crate::index::{IndexInputs, IndexSpec};
 use crate::init::InitPolicy;
+use crate::one_level::fast_batch;
 use crate::table::CirTable;
 use crate::ConfidenceMechanism;
 
@@ -161,6 +162,46 @@ impl ConfidenceMechanism for TwoLevelCir {
         self.global_cir.push(correct);
     }
 
+    fn observe_batch(&mut self, pcs: &[u64], bhrs: &[u64], correct: &[bool], keys: &mut [u64]) {
+        assert!(
+            pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
+            "observe_batch slices must have equal lengths"
+        );
+        let (Some(fast1), Some(fast2)) = (self.index1.compile_xor(), self.index2.compile_xor())
+        else {
+            // Concatenated or global-CIR specs: the scalar reference loop.
+            for i in 0..pcs.len() {
+                keys[i] = self.read_key(pcs[i], bhrs[i]);
+                self.update(pcs[i], bhrs[i], correct[i]);
+            }
+            return;
+        };
+        // Only level-1 slots are known ahead and prefetched: the level-2
+        // slot depends on the level-1 CIR as it stands when the serial pass
+        // reaches the record.
+        fast_batch(
+            self,
+            fast1,
+            pcs,
+            bhrs,
+            correct,
+            keys,
+            |m, slot| m.level1.prefetch(slot),
+            |m, i1, pc, bhr, ok| {
+                let i2 = fast2.index(pc, bhr, m.level1.get(i1).value() as u64);
+                let key = m.level2.get(i2).value() as u64;
+                m.level2.record(i2, ok);
+                m.level1.record(i1, ok);
+                key
+            },
+        );
+        // Compiled slots never read the global CIR, so its pushes can be
+        // replayed after the table pass with identical final state.
+        for &ok in correct {
+            self.global_cir.push(ok);
+        }
+    }
+
     fn key_space(&self) -> Option<u64> {
         Some(1u64 << self.level2.width())
     }
@@ -203,6 +244,81 @@ impl ConfidenceMechanism for TwoLevelCir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScalarObserve;
+
+    /// Feeds one seeded batch of `len` records to `observe_batch` on
+    /// `fresh()` and to the scalar reference loop on another `fresh()`,
+    /// and compares keys and saved state.
+    fn assert_batch_matches_scalar(fresh: impl Fn() -> TwoLevelCir, len: usize) {
+        let mut x = 0x2545_F491_4F6C_DD1Du64 ^ len as u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pcs = Vec::with_capacity(len);
+        let mut bhrs = Vec::with_capacity(len);
+        let mut correct = Vec::with_capacity(len);
+        for _ in 0..len {
+            // Five sites and 4-bit histories over 4-bit indices: records
+            // of one 64-record block alias at both levels.
+            pcs.push(0x400 + ((next() % 5) << 2));
+            bhrs.push(next() % 16);
+            correct.push(next() % 4 != 0);
+        }
+        let mut batched = fresh();
+        let mut scalar = ScalarObserve(fresh());
+        let mut keys_b = vec![0u64; len];
+        let mut keys_s = vec![0u64; len];
+        batched.observe_batch(&pcs, &bhrs, &correct, &mut keys_b);
+        scalar.observe_batch(&pcs, &bhrs, &correct, &mut keys_s);
+        let label = format!("{} len {len}", batched.describe());
+        assert_eq!(keys_b, keys_s, "keys: {label}");
+        let (mut state_b, mut state_s) = (Vec::new(), Vec::new());
+        batched.state_save(&mut state_b);
+        scalar.state_save(&mut state_s);
+        assert_eq!(state_b, state_s, "state: {label}");
+    }
+
+    const LENGTHS: [usize; 6] = [0, 1, 63, 64, 65, 777];
+
+    #[test]
+    fn batched_kernel_matches_scalar_under_aliasing() {
+        let variants = [
+            (IndexSpec::pc(4), IndexSpec::cir(4)),
+            (IndexSpec::pc_xor_bhr(4), IndexSpec::cir(4)),
+            (IndexSpec::pc_xor_bhr(4), IndexSpec::cir_xor_pc_xor_bhr(4)),
+        ];
+        for (index1, index2) in variants {
+            assert!(index1.compile_xor().is_some() && index2.compile_xor().is_some());
+            for init in [InitPolicy::AllOnes, InitPolicy::Random(3)] {
+                for len in LENGTHS {
+                    let fresh = || TwoLevelCir::new(index1.clone(), 4, index2.clone(), 4, init);
+                    assert_batch_matches_scalar(fresh, len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uncompiled_level1_takes_scalar_path_and_matches() {
+        for index1 in [IndexSpec::pc_concat_bhr(4), IndexSpec::global_cir(4)] {
+            assert!(index1.compile_xor().is_none(), "{index1} must fall back");
+            for len in LENGTHS {
+                let fresh = || {
+                    TwoLevelCir::new(
+                        index1.clone(),
+                        4,
+                        IndexSpec::cir(4),
+                        4,
+                        InitPolicy::AllZeros,
+                    )
+                };
+                assert_batch_matches_scalar(fresh, len);
+            }
+        }
+    }
 
     #[test]
     fn paper_variants_construct() {
