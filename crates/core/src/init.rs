@@ -32,6 +32,7 @@ impl InitPolicy {
     /// # Panics
     ///
     /// Panics if `width` is outside `1..=32` (propagated from [`Cir`]).
+    #[inline]
     pub fn initial_cir(self, width: u32, entry: usize) -> Cir {
         match self {
             InitPolicy::AllOnes => Cir::all_ones(width),
@@ -46,6 +47,7 @@ impl InitPolicy {
     /// the last misprediction, so all-ones ⇒ 0, all-zeros ⇒ `max`, lastbit
     /// ⇒ `max - 1` (one misprediction, `width-1` correct outcomes ago), and
     /// random ⇒ a deterministic pseudo-random value in `0..=max`.
+    #[inline]
     pub fn initial_count(self, max: u32, entry: usize) -> u32 {
         match self {
             InitPolicy::AllOnes => 0,
@@ -69,6 +71,7 @@ impl fmt::Display for InitPolicy {
 
 /// SplitMix64 finalizer — a stateless 64-bit mix used to derive per-entry
 /// pseudo-random initial values.
+#[inline]
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

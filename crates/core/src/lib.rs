@@ -12,9 +12,9 @@
 //! | Paper | Here |
 //! |---|---|
 //! | Correct/Incorrect Register (CIR) | [`Cir`] |
-//! | CIR Table (CT) | [`table::CirTable`] |
+//! | CIR Table (CT) | [`table::CirTable`], a [`table::Table`] of [`table::CirEntry`] |
 //! | Index functions (PC, BHR, PC⊕BHR, global CIR, concat) §3.1 | [`IndexSpec`] |
-//! | One-level methods §3.1 | [`one_level::OneLevelCir`] |
+//! | One-level methods §3.1 | [`one_level::OneLevelCir`], a [`one_level::OneLevel`] of CIRs |
 //! | Two-level methods §3.2 | [`two_level::TwoLevelCir`] |
 //! | Ones-count reduction §5.1 | [`one_level::MappedKey::ones_count`] + [`LowRule::OnesAtLeast`] |
 //! | Saturating-counter reduction §5.1 | [`one_level::SaturatingConfidence`] |

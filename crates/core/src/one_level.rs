@@ -1,8 +1,8 @@
 //! One-level dynamic confidence mechanisms (§3.1, §5.1).
 //!
-//! All three storage organizations share the same shape — an indexed table
-//! updated with prediction correctness — and differ in what each entry
-//! holds:
+//! All three storage organizations are one mechanism, [`OneLevel`]: an
+//! indexed [`Table`] updated with prediction correctness. They differ only
+//! in the [`Entry`] rule of what each entry holds:
 //!
 //! * [`OneLevelCir`] — full `n`-bit CIRs (Fig. 3). The *key* it exposes is
 //!   the raw CIR pattern, which supports the ideal reduction of §4 and,
@@ -17,18 +17,11 @@
 use crate::cir::Cir;
 use crate::index::{IndexInputs, IndexSpec, XorIndex};
 use crate::init::InitPolicy;
-use crate::table::{prefetch_slot, CirTable};
+use crate::table::{CirEntry, Counter, Entry, Resetting, Saturating, Table};
 use crate::ConfidenceMechanism;
 
 /// Width of the global CIR maintained for `GlobalCir`-indexed mechanisms.
-const GLOBAL_CIR_WIDTH: u32 = 32;
-
-fn check_not_second_level(index: &IndexSpec) {
-    assert!(
-        !index.uses_cir(),
-        "one-level mechanisms cannot index with the level-one CIR source"
-    );
-}
+pub(crate) const GLOBAL_CIR_WIDTH: u32 = 32;
 
 /// Sub-chunk size of the two-phase batch fast path (matches the replay
 /// kernel's lane-group width).
@@ -96,24 +89,9 @@ pub(crate) fn fast_batch<S>(
     }
 }
 
-/// Validates and installs restored counter values: the count must match the
-/// table and every value must be within `0..=max`.
-fn load_counters(into: &mut [u32], values: &[u32], max: u32, what: &str) -> Result<(), String> {
-    if values.len() != into.len() {
-        return Err(format!(
-            "{what} restore: {} counters, table needs {}",
-            values.len(),
-            into.len()
-        ));
-    }
-    if let Some(v) = values.iter().find(|&&v| v > max) {
-        return Err(format!("{what} restore: counter {v} exceeds max {max}"));
-    }
-    into.copy_from_slice(values);
-    Ok(())
-}
-
-/// One-level CIR table: the generic mechanism of Fig. 3.
+/// A one-level confidence table plus its index function: the generic
+/// mechanism of Fig. 3, with entries under the rule `E`. The key for a
+/// branch is its entry's value.
 ///
 /// # Examples
 ///
@@ -127,31 +105,57 @@ fn load_counters(into: &mut [u32], values: &[u32], max: u32, what: &str) -> Resu
 /// assert_eq!(m.read_key(0x4000, 0), 0xfffe);
 /// ```
 #[derive(Debug, Clone)]
-pub struct OneLevelCir {
-    table: CirTable,
+pub struct OneLevel<E> {
+    table: Table<E>,
     index: IndexSpec,
     global_cir: Cir,
 }
 
-impl OneLevelCir {
-    /// Creates a one-level mechanism with `width`-bit CIRs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index spec uses the level-one CIR source, or on
-    /// invalid widths (propagated from [`CirTable`]).
-    pub fn new(index: IndexSpec, width: u32, init: InitPolicy) -> Self {
-        check_not_second_level(&index);
+/// One-level table of full CIRs (Fig. 3).
+pub type OneLevelCir = OneLevel<CirEntry>;
+
+/// Saturating-counter confidence table (§5.1).
+///
+/// Each entry counts up on a correct prediction and down on a
+/// misprediction, saturating at `0` and `max`. The key is the counter
+/// value: `max` plays the role of the zero bucket.
+pub type SaturatingConfidence = OneLevel<Saturating>;
+
+/// Resetting-counter confidence table (§5.1) — the paper's recommended
+/// practical mechanism.
+///
+/// Each entry counts correct predictions and clears to zero on any
+/// misprediction; the counter therefore holds the distance since the most
+/// recent misprediction, i.e. exactly [`Cir::distance_since_misprediction`]
+/// of the full-length CIR it replaces — at log cost.
+///
+/// # Examples
+///
+/// ```
+/// use cira_core::{ConfidenceMechanism, IndexSpec};
+/// use cira_core::one_level::ResettingConfidence;
+///
+/// let mut m = ResettingConfidence::paper_default(IndexSpec::pc_xor_bhr(12));
+/// for _ in 0..20 {
+///     m.update(0x40, 0, true);
+/// }
+/// assert_eq!(m.read_key(0x40, 0), 16); // saturated: the zero bucket
+/// m.update(0x40, 0, false);
+/// assert_eq!(m.read_key(0x40, 0), 0);  // reset by the misprediction
+/// ```
+pub type ResettingConfidence = OneLevel<Resetting>;
+
+impl<E: Entry> OneLevel<E> {
+    fn with_max(index: IndexSpec, max: u32, init: InitPolicy) -> Self {
+        assert!(
+            !index.uses_cir(),
+            "one-level mechanisms cannot index with the level-one CIR source"
+        );
         Self {
-            table: CirTable::new(index.bits(), width, init),
+            table: Table::with_max(index.bits(), max, init),
             index,
             global_cir: Cir::zeroed(GLOBAL_CIR_WIDTH),
         }
-    }
-
-    /// The paper's configuration: 16-bit CIRs, all-ones initialization.
-    pub fn paper_default(index: IndexSpec) -> Self {
-        Self::new(index, 16, InitPolicy::AllOnes)
     }
 
     /// The index spec in use.
@@ -159,19 +163,9 @@ impl OneLevelCir {
         &self.index
     }
 
-    /// CIR width.
-    pub fn width(&self) -> u32 {
-        self.table.width()
-    }
-
     /// Borrows the underlying table.
-    pub fn table(&self) -> &CirTable {
+    pub fn table(&self) -> &Table<E> {
         &self.table
-    }
-
-    /// Reads the full CIR for a branch (not just its key).
-    pub fn read_cir(&self, pc: u64, bhr: u64) -> Cir {
-        self.table.get(self.slot(pc, bhr))
     }
 
     fn slot(&self, pc: u64, bhr: u64) -> usize {
@@ -184,9 +178,59 @@ impl OneLevelCir {
     }
 }
 
-impl ConfidenceMechanism for OneLevelCir {
+impl OneLevelCir {
+    /// Creates a one-level mechanism with `width`-bit CIRs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index spec uses the level-one CIR source, or on
+    /// invalid widths (see [`crate::table::CirTable::new`]).
+    pub fn new(index: IndexSpec, width: u32, init: InitPolicy) -> Self {
+        Self::with_max(index, Cir::zeroed(width).mask(), init)
+    }
+
+    /// The paper's configuration: 16-bit CIRs, all-ones initialization.
+    pub fn paper_default(index: IndexSpec) -> Self {
+        Self::new(index, 16, InitPolicy::AllOnes)
+    }
+
+    /// CIR width.
+    pub fn width(&self) -> u32 {
+        self.table.width()
+    }
+
+    /// Reads the full CIR for a branch (not just its key).
+    pub fn read_cir(&self, pc: u64, bhr: u64) -> Cir {
+        Cir::from_bits(self.table.get(self.slot(pc, bhr)), self.width())
+    }
+}
+
+impl<E: Counter> OneLevel<E> {
+    /// Creates a table of counters saturating at `max`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max == 0` or the index spec uses the level-one CIR.
+    pub fn new(index: IndexSpec, max: u32, init: InitPolicy) -> Self {
+        assert!(max > 0, "counter max must be positive");
+        Self::with_max(index, max, init)
+    }
+
+    /// The paper's configuration: counters 0..=16 (comparable to 16-bit
+    /// CIRs), initialized to 0 (the all-ones-CIR equivalent).
+    pub fn paper_default(index: IndexSpec) -> Self {
+        Self::new(index, 16, InitPolicy::AllOnes)
+    }
+
+    /// Counter saturation maximum.
+    pub fn max(&self) -> u32 {
+        self.table.max()
+    }
+}
+
+impl<E: Entry> ConfidenceMechanism for OneLevel<E> {
     fn read_key(&self, pc: u64, bhr: u64) -> u64 {
-        self.read_cir(pc, bhr).value() as u64
+        self.table.get(self.slot(pc, bhr)) as u64
     }
 
     fn update(&mut self, pc: u64, bhr: u64, correct: bool) {
@@ -212,12 +256,8 @@ impl ConfidenceMechanism for OneLevelCir {
                 bhrs,
                 correct,
                 keys,
-                CirTable::prefetch,
-                |t, slot, _, _, ok| {
-                    let key = t.get(slot).value() as u64;
-                    t.record(slot, ok);
-                    key
-                },
+                Table::prefetch,
+                |t, slot, _, _, ok| t.record(slot, ok) as u64,
             );
             for &ok in correct {
                 self.global_cir.push(ok);
@@ -225,21 +265,20 @@ impl ConfidenceMechanism for OneLevelCir {
         } else {
             for i in 0..pcs.len() {
                 let slot = self.slot(pcs[i], bhrs[i]);
-                keys[i] = self.table.get(slot).value() as u64;
-                self.table.record(slot, correct[i]);
+                keys[i] = self.table.record(slot, correct[i]) as u64;
                 self.global_cir.push(correct[i]);
             }
         }
     }
 
     fn key_space(&self) -> Option<u64> {
-        Some(1u64 << self.table.width())
+        Some(self.table.max() as u64 + 1)
     }
 
     fn describe(&self) -> String {
         format!(
-            "one-level CIR[{}] idx {} init {}",
-            self.table.width(),
+            "{} idx {} init {}",
+            E::label(self.table.max()),
             self.index,
             self.table.init_policy()
         )
@@ -251,15 +290,15 @@ impl ConfidenceMechanism for OneLevelCir {
     }
 
     fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, &self.table.entry_bits());
+        cira_predictor::state::put_u32_slice(out, self.table.entries());
         cira_predictor::state::put_u32(out, self.global_cir.value());
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = cira_predictor::state::StateReader::new(bytes);
-        let bits = r.u32_vec()?;
+        let entries = r.u32_vec()?;
         let global = r.u32()?;
-        self.table.load_entry_bits(&bits)?;
+        self.table.load(&entries)?;
         self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
         r.finish()
     }
@@ -346,318 +385,6 @@ impl<M: ConfidenceMechanism> ConfidenceMechanism for MappedKey<M> {
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.inner.state_load(bytes)
-    }
-}
-
-/// Saturating-counter confidence table (§5.1).
-///
-/// Each entry counts up on a correct prediction and down on a
-/// misprediction, saturating at `0` and `max`. The key is the counter
-/// value: `max` plays the role of the zero bucket.
-#[derive(Debug, Clone)]
-pub struct SaturatingConfidence {
-    /// Raw counter values (≤ `max`); packing the value alone — rather than
-    /// a `SaturatingCounter` with its embedded max — halves the entry size
-    /// and lets the batch fast path update without branches.
-    counters: Vec<u32>,
-    index: IndexSpec,
-    max: u32,
-    init: InitPolicy,
-    global_cir: Cir,
-}
-
-impl SaturatingConfidence {
-    /// Creates a table of counters saturating at `max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0` or the index spec uses the level-one CIR.
-    pub fn new(index: IndexSpec, max: u32, init: InitPolicy) -> Self {
-        check_not_second_level(&index);
-        assert!(max > 0, "counter max must be positive");
-        let counters = (0..index.table_len())
-            .map(|i| init.initial_count(max, i))
-            .collect();
-        Self {
-            counters,
-            index,
-            max,
-            init,
-            global_cir: Cir::zeroed(GLOBAL_CIR_WIDTH),
-        }
-    }
-
-    /// The paper's configuration: counters 0..=16 (comparable to 16-bit
-    /// CIRs), all-ones-equivalent initialization (count 0).
-    pub fn paper_default(index: IndexSpec) -> Self {
-        Self::new(index, 16, InitPolicy::AllOnes)
-    }
-
-    /// Counter saturation maximum.
-    pub fn max(&self) -> u32 {
-        self.max
-    }
-
-    /// The index spec in use.
-    pub fn index_spec(&self) -> &IndexSpec {
-        &self.index
-    }
-
-    fn slot(&self, pc: u64, bhr: u64) -> usize {
-        self.index.index(IndexInputs {
-            pc,
-            bhr,
-            cir: 0,
-            global_cir: self.global_cir.value() as u64,
-        })
-    }
-}
-
-impl ConfidenceMechanism for SaturatingConfidence {
-    fn read_key(&self, pc: u64, bhr: u64) -> u64 {
-        self.counters[self.slot(pc, bhr)] as u64
-    }
-
-    fn update(&mut self, pc: u64, bhr: u64, correct: bool) {
-        let slot = self.slot(pc, bhr);
-        let max = self.max;
-        let v = &mut self.counters[slot];
-        // Branchless saturating ±1: the inc term vanishes at max, the dec
-        // term at zero, and `correct` selects between them.
-        let c = correct as u32;
-        *v = *v + (c & (*v < max) as u32) - ((1 - c) & (*v > 0) as u32);
-        self.global_cir.push(correct);
-    }
-
-    fn observe_batch(&mut self, pcs: &[u64], bhrs: &[u64], correct: &[bool], keys: &mut [u64]) {
-        assert!(
-            pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
-            "observe_batch slices must have equal lengths"
-        );
-        if let Some(fast) = self.index.compile_xor() {
-            let max = self.max;
-            fast_batch(
-                &mut self.counters,
-                fast,
-                pcs,
-                bhrs,
-                correct,
-                keys,
-                |values, i| prefetch_slot(values, i),
-                |values, slot, _, _, ok| {
-                    let v = values[slot];
-                    let c = ok as u32;
-                    values[slot] = v + (c & (v < max) as u32) - ((1 - c) & (v > 0) as u32);
-                    v as u64
-                },
-            );
-            for &ok in correct {
-                self.global_cir.push(ok);
-            }
-        } else {
-            for i in 0..pcs.len() {
-                let slot = self.slot(pcs[i], bhrs[i]);
-                let v = &mut self.counters[slot];
-                keys[i] = *v as u64;
-                let c = correct[i] as u32;
-                *v = *v + (c & (*v < self.max) as u32) - ((1 - c) & (*v > 0) as u32);
-                self.global_cir.push(correct[i]);
-            }
-        }
-    }
-
-    fn key_space(&self) -> Option<u64> {
-        Some(self.max as u64 + 1)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "saturating[0..={}] idx {} init {}",
-            self.max, self.index, self.init
-        )
-    }
-
-    fn flush(&mut self) {
-        for (i, v) in self.counters.iter_mut().enumerate() {
-            *v = self.init.initial_count(self.max, i);
-        }
-        self.global_cir = Cir::zeroed(GLOBAL_CIR_WIDTH);
-    }
-
-    fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, &self.counters);
-        cira_predictor::state::put_u32(out, self.global_cir.value());
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = cira_predictor::state::StateReader::new(bytes);
-        let counters = r.u32_vec()?;
-        let global = r.u32()?;
-        load_counters(&mut self.counters, &counters, self.max, "saturating")?;
-        self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
-        r.finish()
-    }
-}
-
-/// Resetting-counter confidence table (§5.1) — the paper's recommended
-/// practical mechanism.
-///
-/// Each entry counts correct predictions and clears to zero on any
-/// misprediction; the counter therefore holds the distance since the most
-/// recent misprediction, i.e. exactly [`Cir::distance_since_misprediction`]
-/// of the full-length CIR it replaces — at log cost.
-///
-/// # Examples
-///
-/// ```
-/// use cira_core::{ConfidenceMechanism, IndexSpec};
-/// use cira_core::one_level::ResettingConfidence;
-///
-/// let mut m = ResettingConfidence::paper_default(IndexSpec::pc_xor_bhr(12));
-/// for _ in 0..20 {
-///     m.update(0x40, 0, true);
-/// }
-/// assert_eq!(m.read_key(0x40, 0), 16); // saturated: the zero bucket
-/// m.update(0x40, 0, false);
-/// assert_eq!(m.read_key(0x40, 0), 0);  // reset by the misprediction
-/// ```
-#[derive(Debug, Clone)]
-pub struct ResettingConfidence {
-    /// Raw counter values (≤ `max`); see [`SaturatingConfidence::counters`].
-    counters: Vec<u32>,
-    index: IndexSpec,
-    max: u32,
-    init: InitPolicy,
-    global_cir: Cir,
-}
-
-impl ResettingConfidence {
-    /// Creates a table of resetting counters saturating at `max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0` or the index spec uses the level-one CIR.
-    pub fn new(index: IndexSpec, max: u32, init: InitPolicy) -> Self {
-        check_not_second_level(&index);
-        assert!(max > 0, "counter max must be positive");
-        let counters = (0..index.table_len())
-            .map(|i| init.initial_count(max, i))
-            .collect();
-        Self {
-            counters,
-            index,
-            max,
-            init,
-            global_cir: Cir::zeroed(GLOBAL_CIR_WIDTH),
-        }
-    }
-
-    /// The paper's configuration: counters 0..=16, initialized to 0 (the
-    /// all-ones-CIR equivalent).
-    pub fn paper_default(index: IndexSpec) -> Self {
-        Self::new(index, 16, InitPolicy::AllOnes)
-    }
-
-    /// Counter saturation maximum.
-    pub fn max(&self) -> u32 {
-        self.max
-    }
-
-    /// The index spec in use.
-    pub fn index_spec(&self) -> &IndexSpec {
-        &self.index
-    }
-
-    fn slot(&self, pc: u64, bhr: u64) -> usize {
-        self.index.index(IndexInputs {
-            pc,
-            bhr,
-            cir: 0,
-            global_cir: self.global_cir.value() as u64,
-        })
-    }
-}
-
-impl ConfidenceMechanism for ResettingConfidence {
-    fn read_key(&self, pc: u64, bhr: u64) -> u64 {
-        self.counters[self.slot(pc, bhr)] as u64
-    }
-
-    fn update(&mut self, pc: u64, bhr: u64, correct: bool) {
-        let slot = self.slot(pc, bhr);
-        let max = self.max;
-        let v = &mut self.counters[slot];
-        // Branchless increment-or-clear: `correct` zeroes the whole result
-        // on a misprediction, the saturation term vanishes at max.
-        *v = (correct as u32) * (*v + (*v < max) as u32);
-        self.global_cir.push(correct);
-    }
-
-    fn observe_batch(&mut self, pcs: &[u64], bhrs: &[u64], correct: &[bool], keys: &mut [u64]) {
-        assert!(
-            pcs.len() == bhrs.len() && pcs.len() == correct.len() && pcs.len() == keys.len(),
-            "observe_batch slices must have equal lengths"
-        );
-        if let Some(fast) = self.index.compile_xor() {
-            let max = self.max;
-            fast_batch(
-                &mut self.counters,
-                fast,
-                pcs,
-                bhrs,
-                correct,
-                keys,
-                |values, i| prefetch_slot(values, i),
-                |values, slot, _, _, ok| {
-                    let v = values[slot];
-                    values[slot] = (ok as u32) * (v + (v < max) as u32);
-                    v as u64
-                },
-            );
-            for &ok in correct {
-                self.global_cir.push(ok);
-            }
-        } else {
-            for i in 0..pcs.len() {
-                let slot = self.slot(pcs[i], bhrs[i]);
-                let v = &mut self.counters[slot];
-                keys[i] = *v as u64;
-                *v = (correct[i] as u32) * (*v + (*v < self.max) as u32);
-                self.global_cir.push(correct[i]);
-            }
-        }
-    }
-
-    fn key_space(&self) -> Option<u64> {
-        Some(self.max as u64 + 1)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "resetting[0..={}] idx {} init {}",
-            self.max, self.index, self.init
-        )
-    }
-
-    fn flush(&mut self) {
-        for (i, v) in self.counters.iter_mut().enumerate() {
-            *v = self.init.initial_count(self.max, i);
-        }
-        self.global_cir = Cir::zeroed(GLOBAL_CIR_WIDTH);
-    }
-
-    fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, &self.counters);
-        cira_predictor::state::put_u32(out, self.global_cir.value());
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = cira_predictor::state::StateReader::new(bytes);
-        let counters = r.u32_vec()?;
-        let global = r.u32()?;
-        load_counters(&mut self.counters, &counters, self.max, "resetting")?;
-        self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
-        r.finish()
     }
 }
 

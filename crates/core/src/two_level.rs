@@ -10,11 +10,9 @@
 use crate::cir::Cir;
 use crate::index::{IndexInputs, IndexSpec};
 use crate::init::InitPolicy;
-use crate::one_level::fast_batch;
+use crate::one_level::{fast_batch, GLOBAL_CIR_WIDTH};
 use crate::table::CirTable;
 use crate::ConfidenceMechanism;
-
-const GLOBAL_CIR_WIDTH: u32 = 32;
 
 /// Two-level CIR-table confidence mechanism (Fig. 4).
 ///
@@ -136,7 +134,7 @@ impl TwoLevelCir {
             cir: 0,
             global_cir: gc,
         });
-        let cir1 = self.level1.get(i1).value() as u64;
+        let cir1 = self.level1.get(i1) as u64;
         let i2 = self.index2.index(IndexInputs {
             pc,
             bhr,
@@ -150,7 +148,7 @@ impl TwoLevelCir {
 impl ConfidenceMechanism for TwoLevelCir {
     fn read_key(&self, pc: u64, bhr: u64) -> u64 {
         let (_, i2) = self.slots(pc, bhr);
-        self.level2.get(i2).value() as u64
+        self.level2.get(i2) as u64
     }
 
     fn update(&mut self, pc: u64, bhr: u64, correct: bool) {
@@ -188,9 +186,8 @@ impl ConfidenceMechanism for TwoLevelCir {
             keys,
             |m, slot| m.level1.prefetch(slot),
             |m, i1, pc, bhr, ok| {
-                let i2 = fast2.index(pc, bhr, m.level1.get(i1).value() as u64);
-                let key = m.level2.get(i2).value() as u64;
-                m.level2.record(i2, ok);
+                let i2 = fast2.index(pc, bhr, m.level1.get(i1) as u64);
+                let key = m.level2.record(i2, ok) as u64;
                 m.level1.record(i1, ok);
                 key
             },
@@ -224,8 +221,8 @@ impl ConfidenceMechanism for TwoLevelCir {
     }
 
     fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, &self.level1.entry_bits());
-        cira_predictor::state::put_u32_slice(out, &self.level2.entry_bits());
+        cira_predictor::state::put_u32_slice(out, self.level1.entries());
+        cira_predictor::state::put_u32_slice(out, self.level2.entries());
         cira_predictor::state::put_u32(out, self.global_cir.value());
     }
 
@@ -234,8 +231,8 @@ impl ConfidenceMechanism for TwoLevelCir {
         let l1 = r.u32_vec()?;
         let l2 = r.u32_vec()?;
         let global = r.u32()?;
-        self.level1.load_entry_bits(&l1)?;
-        self.level2.load_entry_bits(&l2)?;
+        self.level1.load(&l1)?;
+        self.level2.load(&l2)?;
         self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
         r.finish()
     }

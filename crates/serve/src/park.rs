@@ -212,13 +212,7 @@ impl SessionPark {
     where
         E: FnOnce(Vec<std::ops::Range<u64>>, cira_store::PageScanner<'_>) -> Vec<cira_store::ScanChunk>,
     {
-        let store = SessionStore::open_scanned(
-            path,
-            disk_capacity_bytes,
-            cira_store::store::DEFAULT_FRAMES,
-            cira_store::Eviction::Clock,
-            exec,
-        )?;
+        let store = SessionStore::open_scanned(path, disk_capacity_bytes, exec)?;
         Ok(Self::from_store(capacity, ttl, store))
     }
 

@@ -186,7 +186,8 @@ pub mod code {
     pub const MALFORMED: u16 = 1;
     /// The hello's protocol version is not supported.
     pub const UNSUPPORTED_VERSION: u16 = 2;
-    /// A spec string failed to parse.
+    /// A spec string failed to parse, or asks for a table wider than
+    /// [`crate::session::MAX_TABLE_BITS`].
     pub const BAD_SPEC: u16 = 3;
     /// A frame exceeded the negotiated maximum size.
     pub const OVERSIZED: u16 = 4;

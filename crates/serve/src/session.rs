@@ -10,12 +10,41 @@
 
 use cira_analysis::engine::replay::StreamingReplay;
 use cira_analysis::runner::PredictorRun;
-use cira_analysis::spec;
+use cira_analysis::spec::{self, MechanismSpec, PredictorSpec};
 use cira_analysis::BucketStats;
 use cira_store::Checkpoint;
 use cira_trace::codec::PackedTrace;
 
 use crate::proto::{HelloConfig, ServerFrame, SnapshotCell};
+
+/// The widest table index a session may ask for: at most 2^20 entries in
+/// any confidence or predictor table. The spec grammar admits 28 bits, but
+/// sessions are built on a shard's event-loop thread, where one 28-bit
+/// table would allocate gigabytes; the paper's largest table is 2^16.
+pub const MAX_TABLE_BITS: u32 = 20;
+
+/// log2 of the largest table `spec` allocates.
+fn table_bits(spec: &PredictorSpec) -> u32 {
+    match *spec {
+        PredictorSpec::Gshare { table_bits, .. } | PredictorSpec::GSelect { table_bits, .. } => {
+            table_bits
+        }
+        PredictorSpec::Bimodal { bits } => bits,
+        PredictorSpec::Local {
+            bht_bits,
+            history_bits,
+        } => bht_bits.max(history_bits),
+        PredictorSpec::Agree {
+            table_bits,
+            bias_bits,
+            ..
+        } => table_bits.max(bias_bits),
+        PredictorSpec::Tage { base_bits, .. } | PredictorSpec::TageScLite { base_bits, .. } => {
+            base_bits
+        }
+        PredictorSpec::Taken | PredictorSpec::NotTaken => 0,
+    }
+}
 
 /// One client's isolated scoring state.
 #[derive(Debug)]
@@ -41,7 +70,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns the spec parser's message when any spec string is
-    /// malformed (sent back to the client as a `BAD_SPEC` error frame).
+    /// malformed, or a message when a spec asks for a table wider than
+    /// [`MAX_TABLE_BITS`] (sent back to the client as a `BAD_SPEC` error
+    /// frame).
     pub fn from_hello(config: &HelloConfig, token: u64) -> Result<Session, String> {
         let replay = Self::build_replay(config)?;
         Ok(Session {
@@ -57,12 +88,31 @@ impl Session {
     }
 
     fn build_replay(config: &HelloConfig) -> Result<StreamingReplay, String> {
-        let predictor = spec::parse_predictor(&config.predictor).map_err(|e| e.to_string())?;
+        let predictor = config
+            .predictor
+            .parse::<PredictorSpec>()
+            .map_err(|e| e.to_string())?;
         let index = spec::parse_index(&config.index).map_err(|e| e.to_string())?;
         let init = spec::parse_init(&config.init).map_err(|e| e.to_string())?;
-        let mechanism = spec::parse_mechanism(&config.mechanism, index, init)
+        let mechanism = config
+            .mechanism
+            .parse::<MechanismSpec>()
             .map_err(|e| e.to_string())?;
-        Ok(StreamingReplay::new(predictor, mechanism))
+        let shadow = match &mechanism {
+            MechanismSpec::SelfConf(inner) => table_bits(inner),
+            _ => 0,
+        };
+        let widest = table_bits(&predictor).max(index.bits()).max(shadow);
+        if widest > MAX_TABLE_BITS {
+            return Err(format!(
+                "spec asks for a 2^{widest}-entry table; sessions allow at most \
+                 2^{MAX_TABLE_BITS} entries per table"
+            ));
+        }
+        Ok(StreamingReplay::new(
+            predictor.build(),
+            mechanism.build(index, init),
+        ))
     }
 
     /// The parsed predictor description (e.g. `gshare(16,16)`).
@@ -287,6 +337,71 @@ mod tests {
             let err = Session::from_hello(&c, 0).unwrap_err();
             assert!(err.contains("expected one of"), "{field}: {err}");
         }
+    }
+
+    #[test]
+    fn oversized_tables_are_rejected_before_allocation() {
+        let wide = MAX_TABLE_BITS + 1;
+        for (predictor, mechanism, index) in [
+            (
+                format!("gshare:{wide}:12"),
+                "resetting:16".to_string(),
+                "pcxorbhr:12".to_string(),
+            ),
+            (
+                format!("gselect:{wide}:4"),
+                "resetting:16".into(),
+                "pc:12".into(),
+            ),
+            (format!("bimodal:{wide}"), "cir:16".into(), "pc:12".into()),
+            (format!("local:{wide}:8"), "cir:16".into(), "pc:12".into()),
+            (format!("local:8:{wide}"), "cir:16".into(), "pc:12".into()),
+            (
+                format!("agree:12:12:{wide}"),
+                "cir:16".into(),
+                "pc:12".into(),
+            ),
+            (
+                format!("tage:{wide}:4:2:32:9"),
+                "cir:16".into(),
+                "pc:12".into(),
+            ),
+            (
+                format!("tage-sc-lite:{wide}:4:2:32:9"),
+                "cir:16".into(),
+                "pc:12".into(),
+            ),
+            (
+                "gshare:12:12".into(),
+                "cir:32".into(),
+                format!("pcxorbhr:{wide}"),
+            ),
+            (
+                "gshare:12:12".into(),
+                "two-level:pc-cir".into(),
+                format!("gcir:{wide}"),
+            ),
+            (
+                "gshare:12:12".into(),
+                format!("self:tage:{wide}:4:2:32:9"),
+                "pc:12".into(),
+            ),
+        ] {
+            let c = HelloConfig {
+                predictor,
+                mechanism,
+                index,
+                ..config()
+            };
+            let err = Session::from_hello(&c, 0).unwrap_err();
+            assert!(err.contains("at most 2^20"), "{c:?}: {err}");
+        }
+        let at_bound = HelloConfig {
+            predictor: format!("gshare:{MAX_TABLE_BITS}:{MAX_TABLE_BITS}"),
+            index: format!("pcxorbhr:{MAX_TABLE_BITS}"),
+            ..config()
+        };
+        assert!(Session::from_hello(&at_bound, 0).is_ok());
     }
 
     #[test]

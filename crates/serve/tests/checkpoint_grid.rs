@@ -12,6 +12,9 @@
 //!    state blobs are canonical, not kernel-private.
 //! 3. **Corruption rejection** — any truncation and any single-byte flip
 //!    of the encoded image is refused by `decode`, never half-trusted.
+//! 4. **Pinned state bytes** — one seeded stream through each confidence
+//!    mechanism yields recorded digests of its keys and state blob, so a
+//!    session parked by an older build still resumes bit-identically.
 
 use cira_analysis::engine::replay::StreamingReplay;
 use cira_analysis::spec::{parse_init, parse_mechanism, parse_predictor, IndexForm};
@@ -218,6 +221,104 @@ fn truncated_and_corrupted_checkpoints_are_rejected() {
             Checkpoint::decode(&flipped).is_err(),
             "flip at byte {i} of {} must be rejected",
             bytes.len()
+        );
+    }
+}
+
+/// Continues an FNV-1a-64 hash over `bytes`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const PIN_MECHANISMS: [&str; 5] = [
+    "cir:8",
+    "cir:32",
+    "ones-count:8",
+    "saturating:16",
+    "resetting:16",
+];
+
+/// A compiled-XOR index (batched gather) and a global-CIR index (the
+/// per-record interpreter).
+const PIN_INDICES: [&str; 2] = ["pcxorbhr:10", "gcir:6"];
+
+/// The two-level variants carry their own indexing and init policy.
+const PIN_TWO_LEVEL: [&str; 3] = [
+    "two-level:pc-cir",
+    "two-level:pcxorbhr-cir",
+    "two-level:pcxorbhr-cirxorpcxorbhr",
+];
+
+/// Digest of every key read plus the final `mechanism_state()` bytes, one
+/// per cell in `pinned_cells()` order. These are the bytes a parked
+/// session's CIRD checkpoint carries; changing any of them without a CIRD
+/// version bump strands every session parked by an older build.
+#[rustfmt::skip]
+const PINNED: [u64; 43] = [
+    0xbf78775caa30cf84, 0xa14388f4f03e1d86, 0x6c35e6d207d0c286,
+    0xe28e0910f424b51c, 0x008144cc26d9b69c, 0x2c71f22e2c7261dc,
+    0x50537f96c12429dc, 0xf17da8a64bc04346, 0x53354c9ab0a6b967,
+    0x732ce10c4c152849, 0x7a6a79a34c6bb449, 0xed7bca16321a0efd,
+    0x02b759fbd21739fc, 0xd38b9265bccab784, 0x0345fe162bdc4e84,
+    0x1155299a58a8c18f, 0xfcbfd1e45a2ff2bf, 0x98a732de0ebd7743,
+    0xf45a33c146cac39e, 0xdd102a8b58293867, 0x007f3a911dd08c6e,
+    0x6cccce52ed781712, 0x93f1537b3d4fead2, 0x7c85f46a9c230916,
+    0xe1b7338e3bf4c8a2, 0xf6ce853c1c893f46, 0x6539895d671f9d95,
+    0xe6538dab52f601ea, 0x6c68b0440a99c9cc, 0xf9acedab0d26cc72,
+    0xd2a3e2c1ad5525ee, 0xf0c0f66b8061f76e, 0xb6e39986d62dcd5f,
+    0x00474322b8a41d25, 0x21135ef2a00fdb05, 0x8124a5f0eb7cbe43,
+    0x08352e36c07912b3, 0xe69d91232b6b2b8f, 0x90bfca7947f419cf,
+    0xc184e8d9982c58f4, 0xd20f0a760713b16d, 0xa1ea9a3966646eb4,
+    0x10f208e155926bda,
+];
+
+/// Every pinned `(mechanism, index, init)` cell, in `PINNED` order.
+fn pinned_cells() -> Vec<(&'static str, &'static str, &'static str)> {
+    let mut cells = Vec::new();
+    for mechanism in PIN_MECHANISMS {
+        for index in PIN_INDICES {
+            for init in INITS {
+                cells.push((mechanism, index, init));
+            }
+        }
+    }
+    for mechanism in PIN_TWO_LEVEL {
+        cells.push((mechanism, "pcxorbhr:10", "ones"));
+    }
+    cells
+}
+
+#[test]
+fn mechanism_state_bytes_match_the_pinned_digests() {
+    let trace = synth_trace(0x91E5, 4_000);
+    // Two uneven batches, so deferred global-CIR pushes cross a batch edge.
+    let head: PackedTrace = (0..1_500).map(|i| trace.get(i).unwrap()).collect();
+    let tail: PackedTrace = (1_500..4_000).map(|i| trace.get(i).unwrap()).collect();
+    let cells = pinned_cells();
+    assert_eq!(cells.len(), PINNED.len());
+    let digests: Vec<u64> = cells
+        .iter()
+        .map(|&(mechanism, index, init)| {
+            let mut replay = swar_replay(&config("gshare:10:10", mechanism, index, init));
+            let mut hash = FNV_OFFSET;
+            for batch in [&head, &tail] {
+                for key in replay.feed(batch).keys {
+                    hash = fnv1a(hash, &key.to_le_bytes());
+                }
+            }
+            fnv1a(hash, &replay.mechanism_state())
+        })
+        .collect();
+    for ((cell, got), want) in cells.iter().zip(&digests).zip(PINNED) {
+        assert_eq!(
+            *got, want,
+            "{cell:?}: digest {got:#018x}; all digests: {digests:#018x?}"
         );
     }
 }

@@ -310,6 +310,32 @@ fn hostile_clients_body(shards: usize) {
 }
 
 #[test]
+fn oversized_table_hello_is_refused_and_the_server_serves_on() {
+    let handle = start_server(1);
+    let addr = handle.local_addr().to_string();
+    // The grammar accepts 28-bit tables; a 2^28-entry CIR table is 1 GiB
+    // built on the shard's event loop. The server refuses it up front.
+    let oversized = encode_client(&ClientFrame::Hello {
+        version: PROTO_VERSION,
+        config: HelloConfig {
+            mechanism: "cir:32".into(),
+            index: "pcxorbhr:28".into(),
+            init: "random:1".into(),
+            ..HelloConfig::default()
+        },
+    });
+    assert_eq!(
+        error_code(raw_exchange(&addr, &[oversized])),
+        code::BAD_SPEC
+    );
+    let mut client = Client::connect(&addr, HelloConfig::default()).expect("default HELLO");
+    let trace = bench_trace(0, 4_096);
+    client.stream(&trace, 1_024).expect("stream");
+    client.goodbye().unwrap();
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn shutdown_drains_batches_accepted_before_disconnect() {
     for shards in SHARD_COUNTS {
         shutdown_drains_body(shards);

@@ -1,14 +1,12 @@
-//! A pinned-page buffer manager with pluggable eviction.
+//! A pinned-page buffer manager with second-chance clock eviction.
 //!
 //! The [`BufferManager`] caches a bounded number of page frames over a
 //! [`PageFile`]. Pages are accessed through closures that pin the frame
 //! for the duration of the call; dirty frames are written back when
-//! evicted or on [`BufferManager::flush_all`]. Eviction order is chosen
-//! by a [`ReplacementPolicy`] — [`ClockPolicy`] (the default: cheap,
-//! scan-resistant enough for the park workload) or [`LruPolicy`]
-//! (strict recency) — which only ever sees *candidate* frames; the
-//! manager itself refuses to evict pinned frames, whatever the policy
-//! asks for.
+//! evicted or on [`BufferManager::flush_all`]. Eviction is a clock: a
+//! reference bit per frame and a sweeping hand that clears bits until it
+//! finds a cold, unpinned frame — cheap, and scan-resistant enough for the
+//! park workload. Pinned frames are never evicted.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -16,108 +14,6 @@ use std::io;
 
 use crate::file::PageFile;
 use crate::page::PAGE_SIZE;
-
-/// Chooses which unpinned frame to evict when the pool is full.
-///
-/// Frame slots are dense indices `0..capacity`; the manager calls the
-/// hooks as frames are (re)used so the policy can maintain its order.
-pub trait ReplacementPolicy: fmt::Debug + Send {
-    /// A page was loaded into `frame` (it is now the most recent).
-    fn on_insert(&mut self, frame: usize);
-    /// The page in `frame` was accessed.
-    fn on_access(&mut self, frame: usize);
-    /// Picks a victim among frames where `evictable(frame)` is true.
-    /// Returns `None` only when nothing is evictable.
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize>;
-}
-
-/// Second-chance clock eviction: a reference bit per frame and a
-/// sweeping hand that clears bits until it finds a cold, evictable
-/// frame.
-#[derive(Debug)]
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    hand: usize,
-}
-
-impl ClockPolicy {
-    /// A clock over `capacity` frames.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            referenced: vec![false; capacity],
-            hand: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for ClockPolicy {
-    fn on_insert(&mut self, frame: usize) {
-        self.referenced[frame] = true;
-    }
-
-    fn on_access(&mut self, frame: usize) {
-        self.referenced[frame] = true;
-    }
-
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        let n = self.referenced.len();
-        // Two sweeps suffice: the first clears every reference bit it
-        // passes, so the second finds a cold frame if any is evictable.
-        for _ in 0..2 * n {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !evictable(f) {
-                continue;
-            }
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                return Some(f);
-            }
-        }
-        // Everything evictable kept its bit set both sweeps — impossible
-        // unless nothing is evictable.
-        (0..n).find(|&f| evictable(f))
-    }
-}
-
-/// Strict least-recently-used eviction via monotonic access stamps.
-#[derive(Debug)]
-pub struct LruPolicy {
-    stamp: Vec<u64>,
-    clock: u64,
-}
-
-impl LruPolicy {
-    /// An LRU order over `capacity` frames.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            stamp: vec![0; capacity],
-            clock: 0,
-        }
-    }
-
-    fn touch(&mut self, frame: usize) {
-        self.clock += 1;
-        self.stamp[frame] = self.clock;
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn on_insert(&mut self, frame: usize) {
-        self.touch(frame);
-    }
-
-    fn on_access(&mut self, frame: usize) {
-        self.touch(frame);
-    }
-
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        (0..self.stamp.len())
-            .filter(|&f| evictable(f))
-            .min_by_key(|&f| self.stamp[f])
-    }
-}
 
 /// One cached page.
 #[derive(Debug)]
@@ -127,6 +23,9 @@ struct Frame {
     data: Vec<u8>,
     dirty: bool,
     pins: u32,
+    /// The clock's reference bit: set on every access, cleared as the
+    /// hand passes.
+    referenced: bool,
 }
 
 /// A bounded write-back page cache over a [`PageFile`].
@@ -135,7 +34,8 @@ pub struct BufferManager {
     frames: Vec<Frame>,
     /// page index -> frame slot
     resident: HashMap<u64, usize>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// The clock hand: the next frame to consider for eviction.
+    hand: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -154,34 +54,22 @@ impl fmt::Debug for BufferManager {
 }
 
 impl BufferManager {
-    /// A manager of `capacity` frames (at least 1) over `file`, with the
-    /// default [`ClockPolicy`].
+    /// A manager of `capacity` frames (at least 1) over `file`.
     pub fn new(file: PageFile, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self::with_policy(file, capacity, Box::new(ClockPolicy::new(capacity)))
-    }
-
-    /// A manager with an explicit eviction policy. The policy must be
-    /// sized for the same `capacity`.
-    pub fn with_policy(
-        file: PageFile,
-        capacity: usize,
-        policy: Box<dyn ReplacementPolicy>,
-    ) -> Self {
-        let capacity = capacity.max(1);
-        let frames = (0..capacity)
+        let frames = (0..capacity.max(1))
             .map(|_| Frame {
                 page: None,
                 data: vec![0u8; PAGE_SIZE],
                 dirty: false,
                 pins: 0,
+                referenced: false,
             })
             .collect();
         Self {
             file,
             frames,
             resident: HashMap::new(),
-            policy,
+            hand: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -221,7 +109,7 @@ impl BufferManager {
     fn pin(&mut self, page: u64) -> io::Result<usize> {
         if let Some(&slot) = self.resident.get(&page) {
             self.hits += 1;
-            self.policy.on_access(slot);
+            self.frames[slot].referenced = true;
             self.frames[slot].pins += 1;
             return Ok(slot);
         }
@@ -231,8 +119,8 @@ impl BufferManager {
         self.frames[slot].page = Some(page);
         self.frames[slot].dirty = false;
         self.frames[slot].pins = 1;
+        self.frames[slot].referenced = true;
         self.resident.insert(page, slot);
-        self.policy.on_insert(slot);
         Ok(slot)
     }
 
@@ -246,17 +134,9 @@ impl BufferManager {
         if let Some(slot) = self.frames.iter().position(|f| f.page.is_none()) {
             return Ok(slot);
         }
-        let frames = &self.frames;
-        let victim = self
-            .policy
-            .pick_victim(&|f| frames[f].pins == 0)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::OutOfMemory,
-                    "all buffer frames are pinned",
-                )
-            })?;
-        debug_assert_eq!(self.frames[victim].pins, 0, "policy returned a pinned frame");
+        let victim = self.clock_victim().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::OutOfMemory, "all buffer frames are pinned")
+        })?;
         let old = self.frames[victim].page.expect("occupied frame");
         if self.frames[victim].dirty {
             self.file.write_page(old, &self.frames[victim].data)?;
@@ -267,6 +147,26 @@ impl BufferManager {
         self.evictions += 1;
         cira_obs::debug!("buffer frame evicted", page = old);
         Ok(victim)
+    }
+
+    /// Sweeps the clock hand to an unpinned frame whose reference bit is
+    /// clear, clearing the bits it passes. Two sweeps suffice: the first
+    /// clears every bit it passes, so the second finds a cold frame if any
+    /// is unpinned. `None` when every frame is pinned.
+    fn clock_victim(&mut self) -> Option<usize> {
+        let n = self.frames.len();
+        for _ in 0..2 * n {
+            let f = self.hand;
+            self.hand = (self.hand + 1) % n;
+            let frame = &mut self.frames[f];
+            if frame.pins > 0 {
+                continue;
+            }
+            if !std::mem::take(&mut frame.referenced) {
+                return Some(f);
+            }
+        }
+        None
     }
 
     /// Runs `f` over the (pinned) contents of `page`.
@@ -367,24 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let pf = file_with_pages("lru", 4);
-        let mut bm = BufferManager::with_policy(pf, 2, Box::new(LruPolicy::new(2)));
-        bm.with_page_mut(1, |d| d[0] = 1).unwrap();
-        bm.with_page_mut(2, |d| d[0] = 2).unwrap();
-        bm.with_page(1, |_| ()).unwrap(); // page 2 is now least recent
-        bm.with_page(3, |_| ()).unwrap(); // evicts page 2
-        let miss_before = bm.misses();
-        bm.with_page(1, |_| ()).unwrap();
-        assert_eq!(bm.misses(), miss_before, "page 1 stayed resident");
-        bm.with_page(2, |_| ()).unwrap();
-        assert_eq!(bm.misses(), miss_before + 1, "page 2 was the victim");
-    }
-
-    #[test]
     fn clock_gives_second_chances() {
         let pf = file_with_pages("clock", 4);
-        let mut bm = BufferManager::with_policy(pf, 2, Box::new(ClockPolicy::new(2)));
+        let mut bm = BufferManager::new(pf, 2);
         bm.with_page(1, |_| ()).unwrap();
         bm.with_page(2, |_| ()).unwrap();
         bm.with_page(3, |_| ()).unwrap(); // one of 1/2 evicted

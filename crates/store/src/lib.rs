@@ -11,8 +11,7 @@
 //! * [`mod@file`] — [`file::PageFile`], raw page I/O with a validated
 //!   superblock (magic, version, page size);
 //! * [`buffer`] — [`buffer::BufferManager`], a bounded pool of pinned
-//!   page frames with write-back and pluggable eviction
-//!   ([`buffer::ReplacementPolicy`]: clock by default, LRU available);
+//!   page frames with write-back and second-chance clock eviction;
 //! * [`store`] — [`store::SessionStore`], checkpoint blobs keyed by
 //!   resume token with park metadata (session id, absolute deadline,
 //!   write epoch), write-ahead-of-free durability, and open-time scan
@@ -61,7 +60,7 @@ pub mod file;
 pub mod page;
 pub mod store;
 
-pub use buffer::{BufferManager, ClockPolicy, LruPolicy, ReplacementPolicy};
+pub use buffer::BufferManager;
 pub use cird::Checkpoint;
 pub use file::PageFile;
-pub use store::{Eviction, PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta};
+pub use store::{PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta};

@@ -24,7 +24,7 @@ use std::io;
 use std::ops::Range;
 use std::path::Path;
 
-use crate::buffer::{BufferManager, ClockPolicy, LruPolicy, ReplacementPolicy};
+use crate::buffer::BufferManager;
 use crate::file::PageFile;
 use crate::page::{PageHeader, KIND_DATA, KIND_HEAD, PAGE_SIZE, PAYLOAD_PER_PAGE};
 
@@ -89,16 +89,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Eviction policy selector for [`SessionStore::open_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Eviction {
-    /// Second-chance clock (the default).
-    #[default]
-    Clock,
-    /// Strict least-recently-used.
-    Lru,
-}
-
 /// Where one record lives.
 #[derive(Debug, Clone)]
 struct RecordLoc {
@@ -119,8 +109,8 @@ pub struct SessionStore {
     next_epoch: u64,
 }
 
-/// Default buffer-pool size in frames (64 pages = 256 KiB), deliberately
-/// small so the store's working set, not the cache, bounds memory.
+/// Buffer-pool size in frames (64 pages = 256 KiB), deliberately small so
+/// the store's working set, not the cache, bounds memory.
 pub const DEFAULT_FRAMES: usize = 64;
 
 /// Pages per recovery-scan job (4 MiB of file): coarse enough that a
@@ -150,38 +140,23 @@ struct Scanned {
 }
 
 impl SessionStore {
-    /// Opens (or creates) the store at `path` with the default buffer
-    /// pool ([`DEFAULT_FRAMES`] clock-evicted frames).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or a superblock that is not a cira-store file.
-    pub fn open(path: &Path, capacity_bytes: u64) -> Result<Self, StoreError> {
-        Self::open_with(path, capacity_bytes, DEFAULT_FRAMES, Eviction::Clock)
-    }
-
-    /// Opens (or creates) the store with an explicit buffer-pool size
-    /// and eviction policy, then scans every page to rebuild the token
-    /// index and free list.
+    /// Opens (or creates) the store at `path` over a buffer pool of
+    /// [`DEFAULT_FRAMES`] frames, then scans every page to rebuild the
+    /// token index and free list.
     ///
     /// # Errors
     ///
     /// I/O failures, or a superblock that is not a cira-store file.
     /// Page-level corruption is *not* an error: damaged chains are
     /// discarded and their salvageable pages freed.
-    pub fn open_with(
-        path: &Path,
-        capacity_bytes: u64,
-        frames: usize,
-        eviction: Eviction,
-    ) -> Result<Self, StoreError> {
+    pub fn open(path: &Path, capacity_bytes: u64) -> Result<Self, StoreError> {
         // Sequential executor: run every scan job inline, in order.
-        Self::open_scanned(path, capacity_bytes, frames, eviction, |ranges, scan| {
+        Self::open_scanned(path, capacity_bytes, |ranges, scan| {
             ranges.into_iter().map(scan).collect()
         })
     }
 
-    /// Like [`SessionStore::open_with`], but the open-time recovery scan
+    /// Like [`SessionStore::open`], but the open-time recovery scan
     /// is split into page-range jobs and handed to `exec` to run —
     /// typically fanned over a worker pool. `exec` receives every range
     /// plus a thread-safe scanner and must return one [`ScanChunk`] per
@@ -199,13 +174,7 @@ impl SessionStore {
     /// superblock that is not a cira-store file. Page-level corruption
     /// is *not* an error: damaged chains are discarded and their
     /// salvageable pages freed.
-    pub fn open_scanned<E>(
-        path: &Path,
-        capacity_bytes: u64,
-        frames: usize,
-        eviction: Eviction,
-        exec: E,
-    ) -> Result<Self, StoreError>
+    pub fn open_scanned<E>(path: &Path, capacity_bytes: u64, exec: E) -> Result<Self, StoreError>
     where
         E: FnOnce(Vec<Range<u64>>, PageScanner<'_>) -> Vec<ScanChunk>,
     {
@@ -261,13 +230,8 @@ impl SessionStore {
             }
         }
 
-        let frames = frames.max(1);
-        let policy: Box<dyn ReplacementPolicy> = match eviction {
-            Eviction::Clock => Box::new(ClockPolicy::new(frames)),
-            Eviction::Lru => Box::new(LruPolicy::new(frames)),
-        };
         let mut store = Self {
-            buf: BufferManager::with_policy(file, frames, policy),
+            buf: BufferManager::new(file, DEFAULT_FRAMES),
             index: HashMap::new(),
             free: Vec::new(),
             capacity_bytes,
@@ -766,17 +730,20 @@ mod tests {
     fn page_cache_counters_move() {
         let path = tmp("cache");
         let _ = std::fs::remove_file(&path);
-        let mut store =
-            SessionStore::open_with(&path, 0, 4, Eviction::Lru).unwrap();
-        for t in 0..16u64 {
-            store.put(t, t, 0, &blob(PAYLOAD_PER_PAGE * 2, t as u8)).unwrap();
+        let mut store = SessionStore::open(&path, 0).unwrap();
+        // A head page plus two more per record: 40 records overflow the pool.
+        let records = 40u64;
+        assert!(3 * records as usize > DEFAULT_FRAMES);
+        for t in 0..records {
+            let three_pages = blob(PAYLOAD_PER_PAGE * 2, t as u8);
+            store.put(t, t, 0, &three_pages).unwrap();
         }
-        for t in 0..16u64 {
+        for t in 0..records {
             store.get(t).unwrap();
         }
         assert!(store.page_misses() > 0, "cold reads miss");
-        assert!(store.page_evictions() > 0, "a 4-frame pool must evict");
-        store.get(15).unwrap();
+        assert!(store.page_evictions() > 0, "a full frame pool must evict");
+        store.get(records - 1).unwrap();
         assert!(store.page_hits() > 0, "re-reads hit");
         std::fs::remove_file(&path).unwrap();
     }
@@ -820,9 +787,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut seq = SessionStore::open(&path, 0).unwrap();
-        let mut par =
-            SessionStore::open_scanned(&path, 0, DEFAULT_FRAMES, Eviction::Clock, threaded_exec)
-                .unwrap();
+        let mut par = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
         assert_eq!(par.len(), seq.len());
         assert_eq!(par.bytes_used(), seq.bytes_used());
         let mut a = seq.entries();
@@ -848,9 +813,7 @@ mod tests {
             store.put(1, 1, 0, &blob(PAYLOAD_PER_PAGE * 2, 1)).unwrap();
             store.remove(1).unwrap();
         }
-        let mut store =
-            SessionStore::open_scanned(&path, 0, DEFAULT_FRAMES, Eviction::Clock, threaded_exec)
-                .unwrap();
+        let mut store = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
         let pages_before = store.buf.page_count();
         store.put(2, 2, 0, &blob(PAYLOAD_PER_PAGE * 2, 2)).unwrap();
         assert_eq!(
