@@ -23,7 +23,7 @@
 //! [`crate::runner`] drivers and independent of the worker count.
 //!
 //! The `run_suite_*` methods on [`Engine`] are the **canonical suite
-//! API**: one predictor/mechanism/estimator factory pair per experiment,
+//! API**: one predictor/mechanism factory pair per experiment,
 //! fresh tables per benchmark, combined with the paper's
 //! equal-dynamic-branch weighting (§1.2) into a [`SuiteBuckets`].
 //! Experiments call them on [`Engine::global`] (the free-function shims
@@ -67,14 +67,13 @@ use std::time::Instant;
 
 use cira_obs::{Counter, Histogram, Registry};
 
-use cira_core::{ConfidenceEstimator, ConfidenceMechanism};
+use cira_core::ConfidenceMechanism;
 use cira_predictor::BranchPredictor;
 use cira_trace::codec::PackedTrace;
 use cira_trace::suite::Benchmark;
 
 use crate::buckets::BucketStats;
 use crate::curve::CoverageCurve;
-use crate::metrics::ConfusionCounts;
 use crate::runner::PredictorRun;
 
 pub use cache::TraceCache;
@@ -345,40 +344,6 @@ impl Engine {
         }
     }
 
-    /// Runs an online estimator over the suite, returning per-benchmark
-    /// counts and their sum (benchmarks use equal trace lengths, so
-    /// summing preserves the equal-weight convention).
-    pub fn run_suite_estimator<P, E>(
-        &self,
-        suite: &[Benchmark],
-        trace_len: u64,
-        make_predictor: impl Fn() -> P + Sync,
-        make_estimator: impl Fn() -> E + Sync,
-    ) -> (Vec<(String, ConfusionCounts)>, ConfusionCounts)
-    where
-        P: BranchPredictor + Send,
-        E: ConfidenceEstimator + Send,
-    {
-        let per = self.map_suite(suite, trace_len, |bench, trace| {
-            let mut predictor = make_predictor();
-            let mut estimator = make_estimator();
-            (
-                bench.name().to_owned(),
-                replay::replay_estimator(
-                    trace,
-                    trace_len as usize,
-                    &mut predictor,
-                    &mut estimator,
-                ),
-            )
-        });
-        let mut total = ConfusionCounts::new();
-        for (_, c) in &per {
-            total.merge(c);
-        }
-        (per, total)
-    }
-
     /// Per-benchmark predictor accuracy (no confidence structures) — used
     /// by the calibration harness to report the §1.2 / §5.3 operating
     /// points.
@@ -424,7 +389,7 @@ impl Engine {
 mod tests {
     use super::*;
     use cira_core::one_level::ResettingConfidence;
-    use cira_core::{IndexSpec, InitPolicy, LowRule, ThresholdEstimator};
+    use cira_core::{IndexSpec, InitPolicy};
     use cira_predictor::Gshare;
     use cira_trace::suite::ibs_like_suite;
 
@@ -481,24 +446,6 @@ mod tests {
         let suite = mini_suite();
         let out = Engine::global().run_suite_static(&suite, 10_000, || Gshare::new(10, 10));
         assert!(out.combined.distinct_keys() > 50);
-    }
-
-    #[test]
-    fn estimator_run_totals() {
-        let suite = mini_suite();
-        let (per, total) = Engine::global().run_suite_estimator(
-            &suite,
-            5_000,
-            || Gshare::new(10, 10),
-            || {
-                ThresholdEstimator::new(
-                    ResettingConfidence::new(IndexSpec::pc_xor_bhr(10), 16, InitPolicy::AllOnes),
-                    LowRule::KeyBelow(16),
-                )
-            },
-        );
-        assert_eq!(per.len(), 3);
-        assert_eq!(total.total(), 15_000);
     }
 
     #[test]

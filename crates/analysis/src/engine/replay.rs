@@ -6,50 +6,54 @@
 //!
 //! * the trace comes from a [`PackedTrace`] (no regeneration, no iterator
 //!   plumbing in the hot path);
-//! * records are processed in chunks: the [`super::simd`] fill pass expands
-//!   each chunk's `(pc, history, taken)` lanes from the SoA trace with no
+//! * one chunk loop, `drive_chunks`, sits behind every replay here:
+//!   [`replay_mechanisms`], [`replay_static`], [`replay_predictor`] and
+//!   [`StreamingReplay::feed`]. Per chunk, the [`super::simd`] fill pass
+//!   expands the `(pc, history, taken)` lanes from the SoA trace with no
 //!   loop-carried history dependency, one
 //!   [`predict_train_batch`](BranchPredictor::predict_train_batch) call
 //!   drives the predictor's branchless kernel over the whole chunk, then
-//!   each mechanism consumes the chunk in its own tight loop — hoisting the
-//!   `&mut dyn ConfidenceMechanism` dispatch pattern out of the per-record
-//!   interleave (mechanisms are independent observers, so per-mechanism
-//!   chunk loops produce bit-identical statistics to the per-record
-//!   interleave of [`crate::runner`]);
-//! * per-key counts accumulate in dense integer arrays when the mechanism
-//!   exposes a small [`key_space`](cira_core::ConfidenceMechanism::key_space),
-//!   instead of a hash-map probe per record, and are folded into
-//!   [`BucketStats`] once at the end (exact: integer counts in `f64`).
+//!   the caller consumes the chunk — each mechanism in its own tight loop,
+//!   hoisting the `&mut dyn ConfidenceMechanism` dispatch pattern out of
+//!   the per-record interleave (mechanisms are independent observers, so
+//!   per-mechanism chunk loops produce bit-identical statistics to the
+//!   per-record interleave of [`crate::runner`]);
+//! * per-key counts accumulate in one integer counter, `KeyCounts`: a dense
+//!   array when the mechanism exposes a small
+//!   [`key_space`](cira_core::ConfidenceMechanism::key_space), a hash map
+//!   otherwise. It is folded into [`BucketStats`] only when asked (exact:
+//!   integer counts in `f64`).
 
 use std::collections::HashMap;
 
-use cira_core::{ConfidenceEstimator, ConfidenceMechanism};
+use cira_core::ConfidenceMechanism;
+use cira_obs::trace::{Span, Stage};
 use cira_predictor::{BranchPredictor, HistoryRegister};
 use cira_trace::codec::PackedTrace;
 
 use crate::buckets::BucketStats;
-use crate::metrics::ConfusionCounts;
 use crate::runner::{PredictorRun, DRIVER_BHR_WIDTH};
 
 /// Records per chunk: large enough to amortize the per-mechanism loop
 /// switch, small enough that the chunk buffers stay cache-resident.
 const CHUNK: usize = 4096;
 
-/// Largest `key_space` accumulated in a dense array (16 MiB of counters);
-/// anything larger (or unbounded) falls back to a hash map.
-const DENSE_MAX: u64 = 1 << 20;
+/// Largest `key_space` counted in a dense array: 2^16 keys (1 MiB of
+/// counters), the paper's widest CIR. A served session keeps its counts
+/// for its whole life, so anything larger (or unbounded) counts only the
+/// keys it sees, in a hash map.
+const DENSE_MAX: u64 = 1 << 16;
 
-/// Per-key `(refs, mispredicts)` accumulator, dense when the key space is
+/// Per-key `(refs, mispredicts)` counter, dense when the key space is
 /// small and enumerable.
 enum KeyCounts {
     /// `(refs, mispredicts)` per key — one indexed access per record.
     /// Keys at or beyond the declared `key_space` indicate a buggy
-    /// mechanism; they spill into `overflow` (with a one-shot warning)
+    /// mechanism; they spill into `spill` (with a one-shot warning)
     /// rather than aborting a whole suite run mid-grid.
     Dense {
         cells: Vec<(u64, u64)>,
-        overflow: HashMap<u64, (u64, u64)>,
-        warned: bool,
+        spill: HashMap<u64, (u64, u64)>,
     },
     Sparse(HashMap<u64, (u64, u64)>),
 }
@@ -59,81 +63,88 @@ impl KeyCounts {
         match key_space {
             Some(n) if n <= DENSE_MAX => KeyCounts::Dense {
                 cells: vec![(0, 0); n as usize],
-                overflow: HashMap::new(),
-                warned: false,
+                spill: HashMap::new(),
             },
             _ => KeyCounts::Sparse(HashMap::new()),
         }
     }
 
-    #[inline]
-    fn observe(&mut self, key: u64, mispredicted: bool) {
+    /// Counts one chunk: record `i` read `keys[i]` and was predicted
+    /// `correct[i]`. The dense-or-sparse match runs once per chunk, not
+    /// once per record.
+    fn add_chunk<K: Copy + Into<u64>>(&mut self, keys: &[K], correct: &[bool]) {
         match self {
-            KeyCounts::Dense {
-                cells,
-                overflow,
-                warned,
-            } => match cells.get_mut(key as usize) {
-                Some(cell) => {
-                    cell.0 += 1;
-                    cell.1 += mispredicted as u64;
-                }
-                // A mechanism whose keys exceed its declared key_space is a
-                // bug upstream, but neither losing the sample nor panicking
-                // mid-grid would serve the caller: count it sparsely.
-                None => {
-                    if !*warned {
-                        *warned = true;
-                        cira_obs::warn!(
-                            "confidence key outside declared key_space",
-                            key = key,
-                            key_space = cells.len() as u64
-                        );
+            KeyCounts::Dense { cells, spill } => {
+                let key_space = cells.len();
+                for (&key, &ok) in keys.iter().zip(correct) {
+                    let key: u64 = key.into();
+                    match cells.get_mut(key as usize) {
+                        Some(cell) => {
+                            cell.0 += 1;
+                            cell.1 += u64::from(!ok);
+                        }
+                        None => spill_key(spill, key_space, key, !ok),
                     }
-                    let e = overflow.entry(key).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += mispredicted as u64;
                 }
-            },
+            }
             KeyCounts::Sparse(map) => {
-                let e = map.entry(key).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += mispredicted as u64;
+                for (&key, &ok) in keys.iter().zip(correct) {
+                    let cell = map.entry(key.into()).or_insert((0, 0));
+                    cell.0 += 1;
+                    cell.1 += u64::from(!ok);
+                }
             }
         }
     }
 
-    /// Folds the counts into `BucketStats` in ascending key order.
-    fn into_stats(self) -> BucketStats {
-        let mut stats = BucketStats::new();
-        match self {
-            KeyCounts::Dense {
-                cells, overflow, ..
-            } => {
-                for (key, (r, m)) in cells.into_iter().enumerate() {
-                    stats.record_batch(key as u64, r, m);
-                }
-                // Overflow keys all exceed the dense range, so appending
-                // them sorted preserves ascending key order overall.
-                let mut spill: Vec<(u64, (u64, u64))> = overflow.into_iter().collect();
-                spill.sort_unstable_by_key(|&(k, _)| k);
-                for (k, (r, m)) in spill {
-                    stats.record_batch(k, r, m);
-                }
-            }
-            KeyCounts::Sparse(map) => {
-                let mut keys: Vec<(u64, (u64, u64))> = map.into_iter().collect();
-                keys.sort_unstable_by_key(|&(k, _)| k);
-                for (k, (r, m)) in keys {
-                    stats.record_batch(k, r, m);
-                }
+    /// Calls `f(key, refs, mispredicts)` for every key with at least one
+    /// reference, in ascending key order.
+    fn each_cell(&self, mut f: impl FnMut(u64, u64, u64)) {
+        let (dense, map) = match self {
+            KeyCounts::Dense { cells, spill } => (&cells[..], spill),
+            KeyCounts::Sparse(map) => (&[][..], map),
+        };
+        // Spilled keys all exceed the dense range, so appending them
+        // sorted keeps the whole walk ascending.
+        let mut spilled: Vec<(u64, (u64, u64))> = map.iter().map(|(&k, &c)| (k, c)).collect();
+        spilled.sort_unstable_by_key(|&(k, _)| k);
+        let dense = dense.iter().enumerate().map(|(k, &c)| (k as u64, c));
+        for (key, (refs, miss)) in dense.chain(spilled) {
+            if refs > 0 {
+                f(key, refs, miss);
             }
         }
+    }
+
+    /// Folds the counts into `BucketStats`.
+    fn to_stats(&self) -> BucketStats {
+        let mut stats = BucketStats::new();
+        self.each_cell(|key, refs, miss| stats.record_batch(key, refs, miss));
         stats
     }
 }
 
-/// Reusable chunk buffers for the predictor pass.
+/// Counts a key outside the declared dense range. A mechanism whose keys
+/// exceed its `key_space` is a bug upstream, but neither losing the sample
+/// nor panicking mid-grid would serve the caller: count it sparsely and
+/// warn on the first one.
+#[cold]
+#[inline(never)]
+fn spill_key(spill: &mut HashMap<u64, (u64, u64)>, key_space: usize, key: u64, miss: bool) {
+    if spill.is_empty() {
+        cira_obs::warn!(
+            "confidence key outside declared key_space",
+            key = key,
+            key_space = key_space as u64
+        );
+    }
+    let cell = spill.entry(key).or_insert((0, 0));
+    cell.0 += 1;
+    cell.1 += u64::from(miss);
+}
+
+/// Reusable lane buffers for the chunk loop, grown on first use.
+#[derive(Default)]
 struct ChunkBufs {
     pcs: Vec<u64>,
     hists: Vec<u64>,
@@ -141,39 +152,53 @@ struct ChunkBufs {
     correct: Vec<bool>,
 }
 
-impl ChunkBufs {
-    fn new() -> Self {
-        Self {
-            pcs: vec![0; CHUNK],
-            hists: vec![0; CHUNK],
-            takens: vec![false; CHUNK],
-            correct: vec![false; CHUNK],
-        }
-    }
+/// One filled and predicted chunk: records `start..start + pcs.len()` of
+/// the trace, with each record's PC, pre-branch history and whether its
+/// prediction was correct.
+struct Lanes<'a> {
+    start: usize,
+    pcs: &'a [u64],
+    hists: &'a [u64],
+    correct: &'a [bool],
 }
 
-/// Drives `predictor` over the first `len` records of `trace`, filling the
-/// chunk buffers and invoking `consume(chunk_len, bufs)` after each chunk.
+/// The chunk loop behind every replay: drives `predictor` over the first
+/// `len` records of `trace`, starting from and advancing `bhr`, and hands
+/// each chunk to `consume`. Returns the branches and mispredictions of
+/// this call.
 ///
 /// Per chunk: the [`super::simd`] pass expands `(pc, history, taken)` lanes
 /// straight from the SoA trace (no serial BHR pushes), then one
 /// `predict_train_batch` call runs the predictor's branchless kernel — or
 /// the trait's scalar default for predictors without an override.
-/// Bit-identical to the per-record §1.2 loop by the kernel contracts.
-fn drive_chunks<P: BranchPredictor>(
+/// Bit-identical to the per-record §1.2 loop by the kernel contracts. Each
+/// chunk is one `Chunk` flight-recorder span, under whatever ambient
+/// context the calling thread set (a no-op when tracing is disabled).
+fn drive_chunks<P: BranchPredictor + ?Sized>(
     trace: &PackedTrace,
     len: usize,
+    bhr: &mut HistoryRegister,
     predictor: &mut P,
-    mut consume: impl FnMut(usize, &ChunkBufs),
+    bufs: &mut ChunkBufs,
+    mut consume: impl FnMut(Lanes<'_>),
 ) -> PredictorRun {
     let n = trace.len().min(len);
-    let bhr = HistoryRegister::new(DRIVER_BHR_WIDTH);
+    let lanes = CHUNK.min(n);
+    if bufs.pcs.len() < lanes {
+        bufs.pcs.resize(lanes, 0);
+        bufs.hists.resize(lanes, 0);
+        bufs.takens.resize(lanes, false);
+        bufs.correct.resize(lanes, false);
+    }
     let mask = bhr.mask();
     let mut h = bhr.value();
-    let mut bufs = ChunkBufs::new();
-    let mut run = PredictorRun::default();
+    let mut run = PredictorRun {
+        branches: n as u64,
+        mispredicts: 0,
+    };
     let mut start = 0;
     while start < n {
+        let span = cira_obs::trace::enabled().then(|| Span::begin_ctx(Stage::Chunk));
         // CHUNK is a multiple of 64, so every chunk start is word-aligned
         // in the taken bitmap, as the simd fill requires.
         let c = CHUNK.min(n - start);
@@ -187,17 +212,21 @@ fn drive_chunks<P: BranchPredictor>(
             &mut bufs.hists,
             &mut bufs.takens,
         );
-        predictor.predict_train_batch(
-            &bufs.pcs[..c],
-            &bufs.hists[..c],
-            &bufs.takens[..c],
-            &mut bufs.correct[..c],
-        );
-        run.mispredicts += bufs.correct[..c].iter().filter(|&&ok| !ok).count() as u64;
-        run.branches += c as u64;
-        consume(c, &bufs);
+        let correct = &mut bufs.correct[..c];
+        predictor.predict_train_batch(&bufs.pcs[..c], &bufs.hists[..c], &bufs.takens[..c], correct);
+        run.mispredicts += correct.iter().filter(|&&ok| !ok).count() as u64;
+        consume(Lanes {
+            start,
+            pcs: &bufs.pcs[..c],
+            hists: &bufs.hists[..c],
+            correct,
+        });
+        if let Some(span) = span {
+            span.end_with(c as u64);
+        }
         start += c;
     }
+    bhr.set(h);
     run
 }
 
@@ -216,79 +245,38 @@ pub fn replay_mechanisms<P: BranchPredictor>(
         .map(|m| KeyCounts::for_key_space(m.key_space()))
         .collect();
     let mut keys = vec![0u64; CHUNK];
-    drive_chunks(trace, len, predictor, |c, bufs| {
+    let mut bhr = HistoryRegister::new(DRIVER_BHR_WIDTH);
+    let mut bufs = ChunkBufs::default();
+    drive_chunks(trace, len, &mut bhr, predictor, &mut bufs, |lanes| {
+        let keys = &mut keys[..lanes.pcs.len()];
         for (m, acc) in mechanisms.iter_mut().zip(counts.iter_mut()) {
             // One virtual call per chunk; the mechanism's batch loop
             // computes each record's table slot once for read + update.
-            m.observe_batch(
-                &bufs.pcs[..c],
-                &bufs.hists[..c],
-                &bufs.correct[..c],
-                &mut keys[..c],
-            );
-            for (key, correct) in keys[..c].iter().zip(&bufs.correct[..c]) {
-                acc.observe(*key, !correct);
-            }
+            m.observe_batch(lanes.pcs, lanes.hists, lanes.correct, keys);
+            acc.add_chunk(keys, lanes.correct);
         }
     });
-    counts.into_iter().map(KeyCounts::into_stats).collect()
+    counts.iter().map(KeyCounts::to_stats).collect()
 }
 
 /// Replays the first `len` records bucketing by static PC — bit-identical
-/// to [`crate::runner::collect_static_buckets`]. Counts accumulate densely
-/// by packed site index and are keyed back to PCs at the end.
+/// to [`crate::runner::collect_static_buckets`]. Counts accumulate by
+/// packed site index and are keyed back to PCs at the end.
 pub fn replay_static<P: BranchPredictor>(
     trace: &PackedTrace,
     len: usize,
     predictor: &mut P,
 ) -> BucketStats {
-    let n = trace.len().min(len);
-    let mut refs = vec![0u64; trace.sites()];
-    let mut miss = vec![0u64; trace.sites()];
+    let mut counts = KeyCounts::for_key_space(Some(trace.sites() as u64));
     let mut bhr = HistoryRegister::new(DRIVER_BHR_WIDTH);
-    for i in 0..n {
-        let site = trace.site_index_at(i);
-        let pc = trace.site_pc(site);
-        let taken = trace.taken_at(i);
-        let h = bhr.value();
-        let predicted = predictor.predict_train(pc, h, taken);
-        refs[site as usize] += 1;
-        if predicted != taken {
-            miss[site as usize] += 1;
-        }
-        bhr.push(taken);
-    }
+    let mut bufs = ChunkBufs::default();
+    drive_chunks(trace, len, &mut bhr, predictor, &mut bufs, |lanes| {
+        let sites = &trace.site_indices()[lanes.start..lanes.start + lanes.correct.len()];
+        counts.add_chunk(sites, lanes.correct);
+    });
     let mut stats = BucketStats::new();
-    for site in 0..trace.sites() {
-        stats.record_batch(trace.site_pc(site as u32), refs[site], miss[site]);
-    }
+    counts.each_cell(|site, refs, miss| stats.record_batch(trace.site_pc(site as u32), refs, miss));
     stats
-}
-
-/// Replays the first `len` records through an online estimator —
-/// bit-identical to [`crate::runner::run_estimator`].
-pub fn replay_estimator<P: BranchPredictor, E: ConfidenceEstimator>(
-    trace: &PackedTrace,
-    len: usize,
-    predictor: &mut P,
-    estimator: &mut E,
-) -> ConfusionCounts {
-    let n = trace.len().min(len);
-    let mut bhr = HistoryRegister::new(DRIVER_BHR_WIDTH);
-    let mut counts = ConfusionCounts::new();
-    for i in 0..n {
-        let pc = trace.site_pc(trace.site_index_at(i));
-        let taken = trace.taken_at(i);
-        let h = bhr.value();
-        let predicted = predictor.predict(pc, h);
-        let correct = predicted == taken;
-        let confidence = estimator.estimate(pc, h);
-        counts.observe(confidence, correct);
-        estimator.update(pc, h, correct);
-        predictor.update(pc, h, taken);
-        bhr.push(taken);
-    }
-    counts
 }
 
 /// Replays the first `len` records through a bare predictor —
@@ -298,18 +286,20 @@ pub fn replay_predictor<P: BranchPredictor>(
     len: usize,
     predictor: &mut P,
 ) -> PredictorRun {
-    drive_chunks(trace, len, predictor, |_, _| {})
+    let mut bhr = HistoryRegister::new(DRIVER_BHR_WIDTH);
+    let mut bufs = ChunkBufs::default();
+    drive_chunks(trace, len, &mut bhr, predictor, &mut bufs, |_| {})
 }
 
 /// Incremental online replay for streaming consumers.
 ///
 /// The batch kernels above take a whole materialized trace and return; a
 /// `StreamingReplay` instead keeps the §1.2 loop's state — predictor
-/// tables, confidence tables, the global history register, and accumulated
-/// [`BucketStats`] — alive across [`feed`](Self::feed) calls, so a trace
-/// can arrive in arbitrary batch splits (e.g. `cira-serve` wire `BATCH`
-/// frames) and still produce **bit-identical** statistics to a single
-/// [`replay_mechanisms`] pass over the concatenated records. That
+/// tables, confidence tables, the global history register, and the
+/// accumulated per-key counts — alive across [`feed`](Self::feed) calls,
+/// so a trace can arrive in arbitrary batch splits (e.g. `cira-serve` wire
+/// `BATCH` frames) and still produce **bit-identical** statistics to a
+/// single [`replay_mechanisms`] pass over the concatenated records. That
 /// invariance is what makes the serving path checkable against the offline
 /// engine, and `streaming_matches_batched_any_split` asserts it.
 ///
@@ -342,11 +332,9 @@ pub struct StreamingReplay {
     predictor: Box<dyn BranchPredictor + Send>,
     mechanism: Box<dyn ConfidenceMechanism + Send>,
     bhr: HistoryRegister,
-    stats: BucketStats,
+    counts: KeyCounts,
     run: PredictorRun,
-    pcs: Vec<u64>,
-    hists: Vec<u64>,
-    takens: Vec<bool>,
+    bufs: ChunkBufs,
     correct: Vec<bool>,
     keys: Vec<u64>,
 }
@@ -380,14 +368,12 @@ impl StreamingReplay {
         mechanism: Box<dyn ConfidenceMechanism + Send>,
     ) -> Self {
         Self {
+            counts: KeyCounts::for_key_space(mechanism.key_space()),
             predictor,
             mechanism,
             bhr: HistoryRegister::new(DRIVER_BHR_WIDTH),
-            stats: BucketStats::new(),
             run: PredictorRun::default(),
-            pcs: Vec::new(),
-            hists: Vec::new(),
-            takens: Vec::new(),
+            bufs: ChunkBufs::default(),
             correct: Vec::new(),
             keys: Vec::new(),
         }
@@ -395,84 +381,85 @@ impl StreamingReplay {
 
     /// Applies one batch of records, advancing all state, and returns the
     /// per-record outcomes. Splitting a trace differently across `feed`
-    /// calls never changes any result.
+    /// calls never changes any result: a batch's bitmap starts at its own
+    /// bit 0, so chunk starts stay word-aligned however the stream is
+    /// split, and the history register carries across batches.
     pub fn feed(&mut self, batch: &PackedTrace) -> FedBatch<'_> {
         let n = batch.len();
-        self.pcs.clear();
-        self.pcs.resize(n, 0);
-        self.hists.clear();
-        self.hists.resize(n, 0);
-        self.takens.clear();
-        self.takens.resize(n, false);
-        self.correct.clear();
         self.correct.resize(n, false);
-        self.keys.clear();
         self.keys.resize(n, 0);
-        let mask = self.bhr.mask();
-        let mut h = self.bhr.value();
-        let mut mispredicts = 0u64;
-        // Same vectorized kernel and chunk discipline as the offline
-        // drivers, so cira-serve sessions inherit the speedup; the chunk's
-        // predictor, mechanism, and stats passes touch independent state,
-        // so interleaving them per chunk is bit-identical to whole-batch
-        // passes. A batch's bitmap starts at its own bit 0, so chunk
-        // starts stay word-aligned regardless of how the stream is split.
-        let mut start = 0;
-        while start < n {
-            let c = CHUNK.min(n - start);
-            // Chunk-level flight-recorder span; ambient context set by the
-            // worker that checked this batch out (a no-op when disabled).
-            let span = cira_obs::trace::enabled()
-                .then(|| cira_obs::trace::Span::begin_ctx(cira_obs::trace::Stage::Chunk));
-            h = super::simd::fill_chunk(
-                batch,
-                start,
-                c,
-                h,
-                mask,
-                &mut self.pcs[start..start + c],
-                &mut self.hists[start..start + c],
-                &mut self.takens[start..start + c],
-            );
-            self.predictor.predict_train_batch(
-                &self.pcs[start..start + c],
-                &self.hists[start..start + c],
-                &self.takens[start..start + c],
-                &mut self.correct[start..start + c],
-            );
-            self.mechanism.observe_batch(
-                &self.pcs[start..start + c],
-                &self.hists[start..start + c],
-                &self.correct[start..start + c],
-                &mut self.keys[start..start + c],
-            );
-            for (key, correct) in self.keys[start..start + c]
-                .iter()
-                .zip(&self.correct[start..start + c])
-            {
-                // Unit-weight integer accumulation is exact in f64, so this
-                // equals the engine's fold-at-the-end in every bit.
-                self.stats.observe(*key, !correct);
-                mispredicts += !correct as u64;
-            }
-            if let Some(span) = span {
-                span.end_with(c as u64);
-            }
-            start += c;
-        }
-        self.bhr.set(h);
-        self.run.branches += n as u64;
-        self.run.mispredicts += mispredicts;
+        let fed = drive_chunks(
+            batch,
+            n,
+            &mut self.bhr,
+            &mut *self.predictor,
+            &mut self.bufs,
+            |lanes| {
+                let range = lanes.start..lanes.start + lanes.pcs.len();
+                let keys = &mut self.keys[range.clone()];
+                self.mechanism
+                    .observe_batch(lanes.pcs, lanes.hists, lanes.correct, keys);
+                self.counts.add_chunk(keys, lanes.correct);
+                self.correct[range].copy_from_slice(lanes.correct);
+            },
+        );
+        self.run.branches += fed.branches;
+        self.run.mispredicts += fed.mispredicts;
         FedBatch {
             correct: &self.correct,
             keys: &self.keys,
-            mispredicts,
+            mispredicts: fed.mispredicts,
         }
     }
 
-    /// Accumulated per-key statistics over everything fed so far.
-    pub fn stats(&self) -> &BucketStats {
-        &self.stats
+    /// Accumulated per-key statistics over everything fed so far, folded
+    /// from the integer counts on each call.
+    pub fn stats(&self) -> BucketStats {
+        self.counts.to_stats()
+    }
+
+    /// Accumulated per-key counts as `(key, refs, mispredicts)`, ascending
+    /// by key, keys never read omitted — part of the replayer's
+    /// checkpointable state.
+    pub fn cells(&self) -> Vec<(u64, u64, u64)> {
+        let mut cells = Vec::new();
+        self.counts
+            .each_cell(|key, refs, miss| cells.push((key, refs, miss)));
+        cells
+    }
+
+    /// Replaces the accumulated per-key counts with `cells` as
+    /// [`cells`](Self::cells) lists them (checkpoint restore).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message, and leaves the counts as they were, if the keys
+    /// are not strictly ascending (a key listed twice) or a cell claims
+    /// more mispredicts than refs.
+    pub fn restore_cells(&mut self, cells: &[(u64, u64, u64)]) -> Result<(), String> {
+        let mut counts = KeyCounts::for_key_space(self.mechanism.key_space());
+        let mut prev = None;
+        for &(key, refs, miss) in cells {
+            if prev.is_some_and(|p| p >= key) {
+                return Err(format!("cell {key:#x} is listed twice or out of order"));
+            }
+            if miss > refs {
+                return Err(format!(
+                    "cell {key:#x} claims {miss} mispredicts out of {refs} refs"
+                ));
+            }
+            prev = Some(key);
+            let slot = match &mut counts {
+                KeyCounts::Dense { cells, spill } => match cells.get_mut(key as usize) {
+                    Some(cell) => cell,
+                    None => spill.entry(key).or_default(),
+                },
+                KeyCounts::Sparse(map) => map.entry(key).or_default(),
+            };
+            *slot = (refs, miss);
+        }
+        self.counts = counts;
+        Ok(())
     }
 
     /// Accumulated branch/mispredict totals.
@@ -539,11 +526,6 @@ impl StreamingReplay {
         self.mechanism.state_load(bytes)
     }
 
-    /// Replaces the accumulated per-key statistics (checkpoint restore).
-    pub fn restore_stats(&mut self, stats: BucketStats) {
-        self.stats = stats;
-    }
-
     /// Replaces the accumulated branch/mispredict totals (checkpoint
     /// restore).
     pub fn restore_run(&mut self, run: PredictorRun) {
@@ -556,7 +538,7 @@ mod tests {
     use super::*;
     use crate::runner;
     use cira_core::one_level::{OneLevelCir, ResettingConfidence};
-    use cira_core::{IndexSpec, InitPolicy, LowRule, ThresholdEstimator};
+    use cira_core::{IndexSpec, InitPolicy};
     use cira_predictor::Gshare;
     use cira_trace::suite::ibs_like_suite;
 
@@ -590,21 +572,13 @@ mod tests {
         let legacy = runner::collect_static_buckets(trace.iter(), &mut Gshare::new(10, 10));
         let batched = replay_static(&trace, 20_000, &mut Gshare::new(10, 10));
         assert_eq!(legacy, batched);
-    }
-
-    #[test]
-    fn estimator_matches_sequential_runner() {
-        let trace = packed(2, 20_000);
-        let mk_est = || {
-            ThresholdEstimator::new(
-                ResettingConfidence::new(IndexSpec::pc_xor_bhr(10), 16, InitPolicy::AllOnes),
-                LowRule::KeyBelow(8),
-            )
-        };
-        let legacy =
-            runner::run_estimator(trace.iter(), &mut Gshare::new(10, 10), &mut mk_est());
-        let batched = replay_estimator(&trace, 20_000, &mut Gshare::new(10, 10), &mut mk_est());
-        assert_eq!(legacy, batched);
+        // A prefix that ends mid-chunk counts only the records it covers.
+        let prefix =
+            runner::collect_static_buckets(trace.iter().take(5_000), &mut Gshare::new(10, 10));
+        assert_eq!(
+            prefix,
+            replay_static(&trace, 5_000, &mut Gshare::new(10, 10))
+        );
     }
 
     #[test]
@@ -651,13 +625,12 @@ mod tests {
             let mut at = 0;
             let mut fed_miss = 0;
             for len in splits {
-                let batch: PackedTrace =
-                    (at..at + len).map(|i| trace.get(i).unwrap()).collect();
+                let batch: PackedTrace = (at..at + len).map(|i| trace.get(i).unwrap()).collect();
                 fed_miss += streaming.feed(&batch).mispredicts;
                 at += len;
             }
             assert_eq!(at, 25_000);
-            assert_eq!(streaming.stats(), &reference);
+            assert_eq!(streaming.stats(), reference);
             assert_eq!(streaming.run(), ref_run);
             assert_eq!(fed_miss, ref_run.mispredicts);
         }
@@ -689,7 +662,7 @@ mod tests {
         let predictor_blob = before.predictor_state();
         let mechanism_blob = before.mechanism_state();
         let bhr = before.bhr_value();
-        let stats = before.stats().clone();
+        let cells = before.cells();
         let run = before.run();
         drop(before);
 
@@ -697,27 +670,61 @@ mod tests {
         after.load_predictor_state(&predictor_blob).unwrap();
         after.load_mechanism_state(&mechanism_blob).unwrap();
         after.set_bhr(bhr);
-        after.restore_stats(stats);
+        after.restore_cells(&cells).unwrap();
         after.restore_run(run);
         after.feed(&rest);
 
         assert_eq!(after.stats(), uninterrupted.stats());
+        assert_eq!(after.cells(), uninterrupted.cells());
         assert_eq!(after.run(), uninterrupted.run());
     }
 
     #[test]
+    fn restore_cells_rejects_repeats_and_excess_misses() {
+        let mut replay = StreamingReplay::new(
+            Box::new(Gshare::new(8, 8)),
+            Box::new(ResettingConfidence::new(
+                IndexSpec::pc(8),
+                16,
+                InitPolicy::AllOnes,
+            )),
+        );
+        replay.restore_cells(&[(1, 5, 2), (40, 3, 0)]).unwrap();
+        assert_eq!(
+            replay.cells(),
+            [(1, 5, 2), (40, 3, 0)],
+            "dense and spilled keys"
+        );
+        for bad in [
+            &[(1, 5, 2), (1, 5, 2)][..],
+            &[(3, 1, 0), (2, 1, 0)],
+            &[(4, 1, 2)],
+        ] {
+            assert!(replay.restore_cells(bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(
+            replay.cells(),
+            [(1, 5, 2), (40, 3, 0)],
+            "a refused restore keeps the counts"
+        );
+    }
+
+    #[test]
     fn key_counts_spill_out_of_range_keys() {
-        // Dense accumulator declared for keys 0..4; keys beyond that must
+        // Dense counter declared for keys 0..4; keys beyond that must
         // accumulate (not panic) and fold back with exact counts.
         let mut counts = KeyCounts::for_key_space(Some(4));
-        counts.observe(1, false);
-        counts.observe(10, true);
-        counts.observe(10, false);
-        counts.observe(7, true);
-        let stats = counts.into_stats();
+        counts.add_chunk(&[1u64, 10, 10, 7], &[true, false, true, false]);
+        let stats = counts.to_stats();
         assert_eq!(stats.cell(1).map(|c| c.refs), Some(1.0));
-        assert_eq!(stats.cell(7).map(|c| (c.refs, c.mispredicts)), Some((1.0, 1.0)));
-        assert_eq!(stats.cell(10).map(|c| (c.refs, c.mispredicts)), Some((2.0, 1.0)));
+        assert_eq!(
+            stats.cell(7).map(|c| (c.refs, c.mispredicts)),
+            Some((1.0, 1.0))
+        );
+        assert_eq!(
+            stats.cell(10).map(|c| (c.refs, c.mispredicts)),
+            Some((2.0, 1.0))
+        );
         assert_eq!(stats.total_refs(), 4.0);
         assert_eq!(stats.total_mispredicts(), 2.0);
     }
@@ -753,8 +760,7 @@ mod tests {
     #[test]
     fn empty_trace_is_empty_stats() {
         let trace = PackedTrace::new();
-        let mut mech =
-            ResettingConfidence::new(IndexSpec::pc(8), 16, InitPolicy::AllOnes);
+        let mut mech = ResettingConfidence::new(IndexSpec::pc(8), 16, InitPolicy::AllOnes);
         let mut refs: Vec<&mut dyn ConfidenceMechanism> = vec![&mut mech];
         let out = replay_mechanisms(&trace, 1_000, &mut Gshare::new(8, 8), &mut refs);
         assert_eq!(out.len(), 1);

@@ -14,7 +14,9 @@
 
 use std::fmt;
 
-use cira_core::Confidence;
+use cira_core::{Confidence, LowRule};
+
+use crate::buckets::BucketStats;
 
 /// Counts of (confidence signal × prediction correctness) outcomes.
 ///
@@ -103,6 +105,26 @@ impl ConfusionCounts {
     /// Overall misprediction rate of the underlying predictor.
     pub fn miss_rate(&self) -> f64 {
         ratio(self.total_incorrect(), self.total())
+    }
+
+    /// The counts a [`LowRule`] estimator produces over the branches behind
+    /// unit-weight `stats`: each key's references fall in the low or the
+    /// high set as the rule classifies the key. The estimator tests the
+    /// key its mechanism reads before the update, which is the key the
+    /// bucket statistics count.
+    pub fn from_buckets(stats: &BucketStats, rule: &LowRule) -> Self {
+        let mut counts = Self::new();
+        for (key, cell) in stats.iter() {
+            let (refs, miss) = (cell.refs as u64, cell.mispredicts as u64);
+            let (correct, incorrect) = if rule.is_low(key) {
+                (&mut counts.low_correct, &mut counts.low_incorrect)
+            } else {
+                (&mut counts.high_correct, &mut counts.high_incorrect)
+            };
+            *correct += refs - miss;
+            *incorrect += miss;
+        }
+        counts
     }
 
     /// Merges another set of counts into this one.
@@ -198,6 +220,37 @@ mod tests {
         assert_eq!(c.sensitivity(), 0.0);
         assert_eq!(c.pvn(), 0.0);
         assert_eq!(c.low_fraction(), 0.0);
+    }
+
+    #[test]
+    fn bucket_partition_matches_the_estimator() {
+        use cira_core::one_level::ResettingConfidence;
+        use cira_core::{IndexSpec, InitPolicy, ThresholdEstimator};
+        use cira_predictor::Gshare;
+        use cira_trace::suite::ibs_like_suite;
+
+        let trace: Vec<_> = ibs_like_suite()[2].walker().take(20_000).collect();
+        let mechanism =
+            || ResettingConfidence::new(IndexSpec::pc_xor_bhr(10), 16, InitPolicy::AllOnes);
+        let stats = crate::runner::collect_mechanism_buckets(
+            trace.iter().copied(),
+            &mut Gshare::new(10, 10),
+            &mut mechanism(),
+        );
+        for threshold in [0, 1, 8, 17] {
+            let mut estimator = ThresholdEstimator::new(mechanism(), LowRule::KeyBelow(threshold));
+            let online = crate::runner::run_estimator(
+                trace.iter().copied(),
+                &mut Gshare::new(10, 10),
+                &mut estimator,
+            );
+            let rule = LowRule::KeyBelow(threshold);
+            assert_eq!(
+                ConfusionCounts::from_buckets(&stats, &rule),
+                online,
+                "key<{threshold}"
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! worker count.
 
 use cira_analysis::engine::Engine;
-use cira_analysis::{runner, BucketStats, ConfusionCounts};
+use cira_analysis::{runner, BucketStats};
 use cira_core::one_level::ResettingConfidence;
-use cira_core::{ConfidenceMechanism, IndexSpec, InitPolicy, LowRule, ThresholdEstimator};
+use cira_core::{ConfidenceMechanism, IndexSpec, InitPolicy};
 use cira_predictor::Gshare;
 use cira_trace::suite::{ibs_like_suite, Benchmark};
 
@@ -27,10 +27,6 @@ fn make_mechanism() -> ResettingConfidence {
     ResettingConfidence::new(IndexSpec::pc_xor_bhr(12), 16, InitPolicy::AllOnes)
 }
 
-fn make_estimator() -> ThresholdEstimator<ResettingConfidence> {
-    ThresholdEstimator::new(make_mechanism(), LowRule::KeyBelow(8))
-}
-
 /// The sequential reference: fresh tables per benchmark, per-record loop,
 /// no engine involved.
 fn sequential_buckets(suite: &[Benchmark], len: u64) -> Vec<(String, BucketStats)> {
@@ -45,24 +41,6 @@ fn sequential_buckets(suite: &[Benchmark], len: u64) -> Vec<(String, BucketStats
                     bench.walker().take(len as usize),
                     &mut predictor,
                     &mut mech,
-                ),
-            )
-        })
-        .collect()
-}
-
-fn sequential_confusion(suite: &[Benchmark], len: u64) -> Vec<(String, ConfusionCounts)> {
-    suite
-        .iter()
-        .map(|bench| {
-            let mut predictor = make_predictor();
-            let mut est = make_estimator();
-            (
-                bench.name().to_owned(),
-                runner::run_estimator(
-                    bench.walker().take(len as usize),
-                    &mut predictor,
-                    &mut est,
                 ),
             )
         })
@@ -94,24 +72,6 @@ fn engine_buckets_bit_identical_to_sequential_runner() {
 }
 
 #[test]
-fn engine_confusion_counts_bit_identical_to_sequential_runner() {
-    let suite = suite3();
-    for len in TRACE_LENS {
-        let reference = sequential_confusion(&suite, len);
-
-        let engine = Engine::with_jobs(4);
-        let (per, total) = engine.run_suite_estimator(&suite, len, make_predictor, make_estimator);
-
-        assert_eq!(per, reference, "len {len}: per-benchmark confusion counts");
-        let mut ref_total = ConfusionCounts::new();
-        for (_, c) in &reference {
-            ref_total.merge(c);
-        }
-        assert_eq!(total, ref_total, "len {len}: summed confusion counts");
-    }
-}
-
-#[test]
 fn engine_results_independent_of_worker_count() {
     let suite = suite3();
     let len = 30_000;
@@ -137,11 +97,6 @@ fn engine_results_independent_of_worker_count() {
 
     assert_eq!(a.combined, b.combined);
     assert_eq!(a.per_benchmark, b.per_benchmark);
-
-    let (pa, ta) = serial.run_suite_estimator(&suite, len, make_predictor, make_estimator);
-    let (pb, tb) = wide.run_suite_estimator(&suite, len, make_predictor, make_estimator);
-    assert_eq!(pa, pb);
-    assert_eq!(ta, tb);
 }
 
 #[test]

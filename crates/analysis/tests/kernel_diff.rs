@@ -230,7 +230,7 @@ fn streaming_random_splits_match_scalar_reference() {
                 at += len;
             }
             let label = format!("{predictor} / {mechanism} trial {trial}");
-            assert_eq!(streaming.stats(), &reference, "streaming stats: {label}");
+            assert_eq!(streaming.stats(), reference, "streaming stats: {label}");
             assert_eq!(streaming.run(), ref_run, "streaming run: {label}");
         }
     }

@@ -57,11 +57,7 @@ fn warm_checkpoint(len: u64) -> Checkpoint {
         mispredicts: run.mispredicts,
         predictor_state: replay.predictor_state(),
         mechanism_state: replay.mechanism_state(),
-        cells: replay
-            .stats()
-            .iter()
-            .map(|(k, c)| (k, c.refs as u64, c.mispredicts as u64))
-            .collect(),
+        cells: replay.cells(),
     }
 }
 

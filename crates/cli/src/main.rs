@@ -25,12 +25,15 @@ use std::process::ExitCode;
 use cira_analysis::spec;
 
 use args::Args;
+use cira_analysis::engine::replay::{replay_mechanisms, replay_predictor};
 use cira_analysis::export::{ascii_chart, save_curves_csv};
-use cira_analysis::{runner, CounterTable, CoverageCurve};
-use cira_core::{ConfidenceEstimator, LowRule, ThresholdEstimator};
+use cira_analysis::{BucketStats, ConfusionCounts, CounterTable, CoverageCurve};
+use cira_core::{ConfidenceMechanism, LowRule};
+use cira_predictor::BranchPredictor;
+use cira_trace::codec::PackedTrace;
 use cira_trace::suite::ibs_like_suite;
 use cira_trace::tinyvm::{assemble, Machine};
-use cira_trace::{codec, BranchRecord, TraceStats};
+use cira_trace::{codec, TraceStats};
 
 const USAGE: &str = "\
 cira — branch prediction confidence tools (Jacobsen/Rotenberg/Smith, MICRO-29 1996)
@@ -188,7 +191,7 @@ fn cmd_suite(args: &Args) -> CliResult {
 
 /// Loads the trace selected by `--bench`/`--trace` flags, bounded by
 /// `--len` (default 1,000,000 for benchmarks, whole file for traces).
-fn load_trace(args: &Args) -> Result<Vec<BranchRecord>, Box<dyn std::error::Error>> {
+fn load_trace(args: &Args) -> Result<PackedTrace, Box<dyn std::error::Error>> {
     let len: usize = args.get_or("len", 1_000_000u64, "a positive integer")? as usize;
     match (args.get("bench"), args.get("trace")) {
         (Some(name), None) => {
@@ -221,9 +224,9 @@ fn cmd_gen(args: &Args) -> CliResult {
     if args.get("bench").is_none() {
         return Err("--bench is required".into());
     }
-    let records = load_trace(args)?;
+    let trace = load_trace(args)?;
     let file = std::fs::File::create(&out)?;
-    let n = codec::write_trace(std::io::BufWriter::new(file), records.iter().copied())?;
+    let n = codec::write_trace(std::io::BufWriter::new(file), trace.iter())?;
     println!("wrote {n} records to {out}");
     Ok(())
 }
@@ -260,8 +263,8 @@ fn cmd_dump(args: &Args) -> CliResult {
 fn cmd_predict(args: &Args) -> CliResult {
     args.check_known(&[TRACE_FLAGS, &["predictor"]].concat())?;
     let mut predictor = spec::parse_predictor(args.get("predictor").unwrap_or("gshare64k"))?;
-    let records = load_trace(args)?;
-    let run = runner::run_predictor(records, &mut predictor);
+    let trace = load_trace(args)?;
+    let run = replay_predictor(&trace, trace.len(), &mut predictor);
     println!("predictor:   {}", predictor.describe());
     println!("branches:    {}", run.branches);
     println!("mispredicts: {}", run.mispredicts);
@@ -271,7 +274,7 @@ fn cmd_predict(args: &Args) -> CliResult {
 
 fn build_mechanism(
     args: &Args,
-) -> Result<Box<dyn cira_core::ConfidenceMechanism>, Box<dyn std::error::Error>> {
+) -> Result<Box<dyn ConfidenceMechanism>, Box<dyn std::error::Error>> {
     let index = spec::parse_index(args.get("index").unwrap_or("pcxorbhr:16"))?;
     let init = spec::parse_init(args.get("init").unwrap_or("ones"))?;
     let mechanism = match args.get("mechanism").unwrap_or("resetting:16") {
@@ -285,16 +288,26 @@ fn build_mechanism(
 
 const CONF_FLAGS: &[&str] = &["predictor", "mechanism", "index", "init"];
 
+/// Loads the selected trace and replays it through `predictor` and
+/// `mechanism` on the engine's chunk kernel.
+fn mechanism_buckets(
+    args: &Args,
+    predictor: &mut impl BranchPredictor,
+    mechanism: &mut dyn ConfidenceMechanism,
+) -> Result<BucketStats, Box<dyn std::error::Error>> {
+    let trace = load_trace(args)?;
+    Ok(replay_mechanisms(&trace, trace.len(), predictor, &mut [mechanism]).remove(0))
+}
+
 fn cmd_confidence(args: &Args) -> CliResult {
     args.check_known(&[TRACE_FLAGS, CONF_FLAGS, &["threshold"]].concat())?;
     let mut predictor = spec::parse_predictor(args.get("predictor").unwrap_or("gshare64k"))?;
-    let mechanism = build_mechanism(args)?;
-    let threshold: u64 = args.get_or("threshold", 16u64, "a key threshold")?;
-    let mut estimator = ThresholdEstimator::new(mechanism, LowRule::KeyBelow(threshold));
-    let records = load_trace(args)?;
-    let counts = runner::run_estimator(records, &mut predictor, &mut estimator);
+    let mut mechanism = build_mechanism(args)?;
+    let rule = LowRule::KeyBelow(args.get_or("threshold", 16u64, "a key threshold")?);
+    let stats = mechanism_buckets(args, &mut predictor, mechanism.as_mut())?;
+    let counts = ConfusionCounts::from_buckets(&stats, &rule);
     println!("predictor: {}", predictor.describe());
-    println!("estimator: {}", estimator.describe());
+    println!("estimator: {} | low if {rule}", mechanism.describe());
     println!("{counts}");
     println!(
         "misprediction rate {:.3}% over {} branches",
@@ -308,8 +321,7 @@ fn cmd_curve(args: &Args) -> CliResult {
     args.check_known(&[TRACE_FLAGS, CONF_FLAGS, &["out", "chart"]].concat())?;
     let mut predictor = spec::parse_predictor(args.get("predictor").unwrap_or("gshare64k"))?;
     let mut mechanism = build_mechanism(args)?;
-    let records = load_trace(args)?;
-    let stats = runner::collect_mechanism_buckets(records, &mut predictor, &mut mechanism);
+    let stats = mechanism_buckets(args, &mut predictor, mechanism.as_mut())?;
     let curve = CoverageCurve::from_buckets(&stats);
     println!("mechanism: {}", mechanism.describe());
     println!("miss rate: {:.3}%", 100.0 * stats.miss_rate());
@@ -334,8 +346,7 @@ fn cmd_table(args: &Args) -> CliResult {
     let mut predictor = spec::parse_predictor(args.get("predictor").unwrap_or("gshare64k"))?;
     let mut mechanism = build_mechanism(args)?;
     let max: u32 = args.get_or("max", 16u32, "a counter maximum")?;
-    let records = load_trace(args)?;
-    let stats = runner::collect_mechanism_buckets(records, &mut predictor, &mut mechanism);
+    let stats = mechanism_buckets(args, &mut predictor, mechanism.as_mut())?;
     println!("mechanism: {}", mechanism.describe());
     println!("{}", CounterTable::from_buckets(&stats, max));
     Ok(())
@@ -346,8 +357,7 @@ fn cmd_sweep(args: &Args) -> CliResult {
     let mut predictor = spec::parse_predictor(args.get("predictor").unwrap_or("gshare64k"))?;
     let mut mechanism = build_mechanism(args)?;
     let max: u64 = args.get_or("max", 16u64, "a counter maximum")?;
-    let records = load_trace(args)?;
-    let stats = runner::collect_mechanism_buckets(records, &mut predictor, &mut mechanism);
+    let stats = mechanism_buckets(args, &mut predictor, mechanism.as_mut())?;
     let sweep = cira_analysis::threshold_sweep(&stats, max);
     println!("mechanism: {}", mechanism.describe());
     println!(
@@ -542,8 +552,7 @@ fn cmd_replay(args: &Args) -> CliResult {
         init: args.get("init").unwrap_or("ones").to_owned(),
         threshold: args.get_or("threshold", 16u64, "a key threshold")?,
     };
-    let records = load_trace(args)?;
-    let trace: codec::PackedTrace = records.iter().copied().collect();
+    let trace = load_trace(args)?;
 
     let resume = args.get_parsed::<u64>("resume", "a resume token")?;
     if resume.is_some() && args.has("verify") {
@@ -618,7 +627,7 @@ fn cmd_replay(args: &Args) -> CliResult {
         let mechanism = spec::parse_mechanism(&config.mechanism, index, init)?;
         let mut local = cira_analysis::engine::replay::StreamingReplay::new(predictor, mechanism);
         local.feed(&trace);
-        if *local.stats() == server_stats {
+        if local.stats() == server_stats {
             println!("verify: server statistics are bit-identical to the local engine");
         } else {
             return Err("verify FAILED: server statistics differ from the local engine".into());

@@ -158,11 +158,6 @@ impl<E: Entry> OneLevel<E> {
         }
     }
 
-    /// The index spec in use.
-    pub fn index_spec(&self) -> &IndexSpec {
-        &self.index
-    }
-
     /// Borrows the underlying table.
     pub fn table(&self) -> &Table<E> {
         &self.table

@@ -75,11 +75,6 @@ impl SelfConfidence {
             rebuild,
         }
     }
-
-    /// The shadow predictor's description (for diagnostics).
-    pub fn shadow_describe(&self) -> String {
-        self.shadow.describe()
-    }
 }
 
 impl ConfidenceMechanism for SelfConfidence {

@@ -120,32 +120,6 @@ pub fn init(level: Option<Level>) {
     FILTER.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
 }
 
-/// The current filter level (`None` = everything off).
-pub fn current_level() -> Option<Level> {
-    match FILTER.load(Ordering::Relaxed) {
-        UNSET => current_after_init(),
-        0 => None,
-        n => Some(decode(n)),
-    }
-}
-
-fn current_after_init() -> Option<Level> {
-    match init_from_env() {
-        0 | UNSET => None,
-        n => Some(decode(n)),
-    }
-}
-
-fn decode(n: u8) -> Level {
-    match n {
-        1 => Level::Error,
-        2 => Level::Warn,
-        3 => Level::Info,
-        4 => Level::Debug,
-        _ => Level::Trace,
-    }
-}
-
 /// Redirects log output to a file (appending). Returns the I/O error if
 /// the file cannot be opened; the sink is unchanged on failure.
 pub fn log_to_file(path: &str) -> std::io::Result<()> {
@@ -155,11 +129,6 @@ pub fn log_to_file(path: &str) -> std::io::Result<()> {
         .open(path)?;
     *sink().lock().unwrap_or_else(|e| e.into_inner()) = Sink::File(file);
     Ok(())
-}
-
-/// Redirects log output back to stderr.
-pub fn log_to_stderr() {
-    *sink().lock().unwrap_or_else(|e| e.into_inner()) = Sink::Stderr;
 }
 
 /// Whether a record at `level` would be emitted. This is the cheap gate

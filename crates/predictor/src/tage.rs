@@ -223,11 +223,6 @@ impl Tage {
         Self::new(14, 7, 4, 64, 11)
     }
 
-    /// The geometric history lengths, shortest first.
-    pub fn history_lengths(&self) -> Vec<u32> {
-        self.comps.iter().map(|c| c.len).collect()
-    }
-
     /// Entry index of component `c` for `(pc, bhr)`.
     fn comp_index(&self, c: usize, pc: u64, bhr: u64) -> usize {
         let pc2 = pc >> 2;

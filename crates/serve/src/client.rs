@@ -29,7 +29,7 @@
 use std::fmt;
 use std::io;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cira_analysis::BucketStats;
 use cira_trace::codec::PackedTrace;
@@ -141,8 +141,7 @@ impl ClientError {
 }
 
 /// Reconnect-and-resume schedule: exponential backoff with
-/// deterministic, seeded jitter, capped by attempts and an optional
-/// wall-clock deadline per recovery.
+/// deterministic, seeded jitter, capped by attempts.
 ///
 /// The default policy is [`RetryPolicy::none`] — faults surface
 /// immediately, exactly as before rev 1.2. Opt in with
@@ -155,8 +154,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Ceiling on the per-attempt delay.
     pub max_delay: Duration,
-    /// Wall-clock budget for one whole recovery, if any.
-    pub deadline: Option<Duration>,
     /// Seed for the jitter PRNG. Equal seeds give equal schedules, which
     /// keeps fault-injection tests reproducible.
     pub jitter_seed: u64,
@@ -169,7 +166,6 @@ impl RetryPolicy {
             max_attempts: 0,
             base_delay: Duration::from_millis(100),
             max_delay: Duration::from_secs(5),
-            deadline: None,
             jitter_seed: 0x5eed_cafe,
         }
     }
@@ -188,13 +184,6 @@ impl RetryPolicy {
     pub fn with_delays(mut self, base: Duration, max: Duration) -> Self {
         self.base_delay = base;
         self.max_delay = max;
-        self
-    }
-
-    /// Caps one whole recovery at `deadline` of wall-clock time.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -378,7 +367,6 @@ impl ClientBuilder {
     /// connect failures and `BUSY` sheds after retries.
     pub fn resume(self, token: u64) -> Result<Client, ClientError> {
         let mut rng = self.retry.jitter_seed;
-        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             match self.try_resume_fresh(token) {
@@ -388,11 +376,6 @@ impl ClientBuilder {
                     let retryable = e.is_transport() || matches!(e, ClientError::Busy { .. });
                     if !retryable || attempt > self.retry.max_attempts {
                         return Err(e);
-                    }
-                    if let Some(d) = self.retry.deadline {
-                        if started.elapsed() >= d {
-                            return Err(e);
-                        }
                     }
                     let mut delay = self.retry.backoff(attempt, &mut rng);
                     if let ClientError::Busy { retry_after_ms, .. } = &e {
@@ -466,7 +449,6 @@ impl ClientBuilder {
 
     fn connect_inner(self, config: Option<HelloConfig>) -> Result<Client, ClientError> {
         let mut rng = self.retry.jitter_seed;
-        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             match self.try_connect_once(config.as_ref()) {
@@ -476,11 +458,6 @@ impl ClientBuilder {
                     let retryable = e.is_transport() || matches!(e, ClientError::Busy { .. });
                     if !retryable || attempt > self.retry.max_attempts {
                         return Err(e);
-                    }
-                    if let Some(d) = self.retry.deadline {
-                        if started.elapsed() >= d {
-                            return Err(e);
-                        }
                     }
                     let mut delay = self.retry.backoff(attempt, &mut rng);
                     if let ClientError::Busy { retry_after_ms, .. } = &e {
@@ -664,14 +641,6 @@ impl Client {
         &self.mechanism
     }
 
-    /// The session's resume token, if one was negotiated (rev 1.2).
-    /// Save it across process restarts: [`ClientBuilder::resume`] (or a
-    /// `RESUME` frame from any client) re-attaches with it — including
-    /// after the *server* restarts, when it runs a durable park.
-    pub fn resume_token(&self) -> Option<u64> {
-        self.token
-    }
-
     /// Reconnect attempts made over this client's lifetime (rev 1.2).
     pub fn retries(&self) -> u64 {
         self.retries
@@ -758,8 +727,8 @@ impl Client {
     /// Reconnects and re-attaches after a transport fault: backoff,
     /// dial, `RESUME` by token, reconcile totals against the server's
     /// cumulative state, retransmit everything unacked. Returns the
-    /// original error when retries are disabled, exhausted, out of
-    /// deadline, or the session is unrecoverable (`UNKNOWN_SESSION`).
+    /// original error when retries are disabled or exhausted, or the
+    /// session is unrecoverable (`UNKNOWN_SESSION`).
     fn recover(&mut self, cause: ClientError) -> Result<(), ClientError> {
         if !cause.is_recoverable() || self.builder.retry.max_attempts == 0 {
             return Err(cause);
@@ -769,7 +738,6 @@ impl Client {
         // client-observed stall).
         let _ = self.stream.shutdown(Shutdown::Both);
         let policy = self.builder.retry.clone();
-        let started = Instant::now();
         let mut last = cause;
         for attempt in 1..=policy.max_attempts {
             let mut delay = policy.backoff(attempt, &mut self.rng);
@@ -777,11 +745,6 @@ impl Client {
                 delay = delay.max(Duration::from_millis(u64::from(*retry_after_ms)));
             }
             std::thread::sleep(delay);
-            if let Some(d) = policy.deadline {
-                if started.elapsed() >= d {
-                    return Err(last);
-                }
-            }
             self.retries += 1;
             match self.try_resume_once() {
                 Ok(()) => {

@@ -42,12 +42,12 @@
 //!   `STATS` frame (name/value pairs), the `METRICS` frame (Prometheus
 //!   text over the wire), and HTTP `GET /metrics` when
 //!   [`server::ServerConfig::metrics_addr`] is set. Since rev 1.5 the
-//!   server also threads [`cira_obs::trace`] flight-recorder spans
-//!   through every pipeline stage (accept → parse → checkout → score →
-//!   complete → write, plus park spill/load and cross-shard migration),
-//!   exported as Chrome trace JSON via `GET /trace`, the `TRACE_DUMP`
-//!   frame, `SIGUSR1`, and automatic crash dumps
-//!   ([`server::ServerConfig::trace`]);
+//!   server also threads [`cira_obs::trace`](mod@cira_obs::trace)
+//!   flight-recorder spans through every pipeline stage (accept → parse →
+//!   checkout → score → complete → write, plus park spill/load and
+//!   cross-shard migration), exported as Chrome trace JSON via
+//!   `GET /trace`, the `TRACE_DUMP` frame, `SIGUSR1`, and automatic crash
+//!   dumps ([`server::ServerConfig::trace`]);
 //! * [`shutdown`] — a waitable token plus optional SIGINT/SIGTERM/SIGUSR1
 //!   hooks.
 //!

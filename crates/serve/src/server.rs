@@ -33,7 +33,7 @@
 //! * **Timers** — park TTL sweeps, background spill of hot-only parked
 //!   sessions to the disk tier, idle eviction, slow-loris stall
 //!   tracking, and write deadlines — all run as shard-local ticks every
-//!   [`ServerConfig::read_tick_ms`].
+//!   `TICK_MS` (100 ms).
 //! * **Shutdown**: triggering the [`ShutdownToken`] stops the accept
 //!   loop and puts every shard into drain: in-flight batch runs finish
 //!   and are acked, every connection gets a `SHUTTING_DOWN` error, and
@@ -59,7 +59,7 @@ use cira_trace::codec::PackedTrace;
 use crate::event::{
     Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
-use crate::frame::{write_frame, FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
+use crate::frame::{FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
 use crate::metrics::{register_shards, ServerMetrics, ShardMetrics};
 use crate::park::{ParkRefusal, SessionPark};
 use crate::proto::{
@@ -83,6 +83,12 @@ const SPILL_BATCH: usize = 32;
 /// before a connection's read interest is dropped (control frames are
 /// cheap; only batches count against `max_inflight` itself).
 const PARSED_HEADROOM: usize = 16;
+/// Shard timer tick, milliseconds: the epoll wait timeout, and the
+/// cadence of sweeps, spills, idle/stall checks, write deadlines.
+const TICK_MS: u64 = 100;
+/// Mid-frame silence tolerated before the peer is dropped as a
+/// slow-loris, milliseconds.
+const STALL_MS: u64 = 60_000;
 
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
@@ -91,12 +97,6 @@ pub struct ServerConfig {
     pub max_frame: u32,
     /// Batches buffered per session before its socket stops being read.
     pub max_inflight: u32,
-    /// Shard timer tick, milliseconds: the epoll wait timeout, and the
-    /// cadence of sweeps, spills, idle/stall checks, write deadlines.
-    pub read_tick_ms: u64,
-    /// Mid-frame ticks without progress tolerated before the peer is
-    /// dropped as a slow-loris.
-    pub stall_ticks: u32,
     /// Per-frame write deadline, milliseconds, measured from the moment
     /// the frame is queued: a peer that stops reading its acks must not
     /// hold buffers forever. `0` disables the deadline.
@@ -145,8 +145,6 @@ impl Default for ServerConfig {
         Self {
             max_frame: DEFAULT_MAX_FRAME,
             max_inflight: 4,
-            read_tick_ms: 100,
-            stall_ticks: 600, // 60 s of mid-frame silence at the default tick
             write_timeout_ms: 30_000,
             max_sessions: 1024,
             busy_retry_ms: 500,
@@ -487,8 +485,8 @@ impl Shard {
             &format!("cira-serve-shard{}", self.index),
             Some(self.index as u16),
         );
-        let tick = Duration::from_millis(self.cfg.read_tick_ms.max(1));
-        let timeout_ms = tick.as_millis().min(i32::MAX as u128) as i32;
+        let tick = Duration::from_millis(TICK_MS);
+        let timeout_ms = TICK_MS as i32;
         let mut events = [Event::default(); EVENTS_PER_WAIT];
         let mut last_tick = Instant::now();
         loop {
@@ -1449,8 +1447,6 @@ impl Shard {
         let dt_ms = dt.as_millis().min(u64::MAX as u128) as u64;
         let now = Instant::now();
         let idle_timeout = Duration::from_millis(self.cfg.idle_timeout_ms);
-        let stall_budget_ms =
-            u64::from(self.cfg.stall_ticks).saturating_mul(self.cfg.read_tick_ms.max(1));
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut parse_bytes = 0i64;
         for id in ids {
@@ -1461,7 +1457,7 @@ impl Shard {
             if conn.closing.is_none() && conn.rbuf.mid_frame() {
                 if conn.ingested == conn.last_seen_ingested {
                     conn.stall_ms = conn.stall_ms.saturating_add(dt_ms);
-                    if conn.stall_ms > stall_budget_ms {
+                    if conn.stall_ms > STALL_MS {
                         self.shared.metrics.protocol_error(0);
                         conn.closing = Some(Close::Abrupt);
                     }
@@ -1703,7 +1699,7 @@ pub fn serve(
         sweep_every: Duration::from_millis((cfg.park_ttl_ms / 4).clamp(10, 1000)),
         next_sweep: Mutex::new(Instant::now()),
         // Spill every tick: a teardown park is durable within ~2 ticks.
-        spill_every: Duration::from_millis(cfg.read_tick_ms.clamp(10, 1000)),
+        spill_every: Duration::from_millis(TICK_MS),
         next_spill: Mutex::new(Instant::now()),
     });
     shared.publish_store_gauges();
@@ -1791,11 +1787,4 @@ pub fn serve(
         shard_shared,
         shards: Some(threads),
     })
-}
-
-/// Serializes and writes one server frame to any writer — used by tests
-/// that speak raw bytes.
-#[doc(hidden)]
-pub fn write_server_frame(w: &mut impl Write, frame: &ServerFrame) -> io::Result<()> {
-    write_frame(w, &encode_server(frame))
 }

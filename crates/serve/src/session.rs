@@ -11,7 +11,6 @@
 use cira_analysis::engine::replay::StreamingReplay;
 use cira_analysis::runner::PredictorRun;
 use cira_analysis::spec::{self, MechanismSpec, PredictorSpec};
-use cira_analysis::BucketStats;
 use cira_store::Checkpoint;
 use cira_trace::codec::PackedTrace;
 
@@ -193,13 +192,12 @@ impl Session {
     /// The session's accumulated statistics as a `SNAPSHOT_REPLY`.
     pub fn snapshot(&self) -> ServerFrame {
         let run = self.replay.run();
-        let mut cells: Vec<SnapshotCell> = self
+        let cells: Vec<SnapshotCell> = self
             .replay
-            .stats()
-            .iter()
-            .map(|(k, c)| (k, c.refs, c.mispredicts))
+            .cells()
+            .into_iter()
+            .map(|(key, refs, miss)| (key, refs as f64, miss as f64))
             .collect();
-        cells.sort_unstable_by_key(|&(k, _, _)| k);
         ServerFrame::SnapshotReply {
             branches: run.branches,
             mispredicts: run.mispredicts,
@@ -212,19 +210,10 @@ impl Session {
     /// (rev 1.3): the negotiated specs, the counters, the BHR, the
     /// predictor and mechanism state blobs, and every bucket cell.
     /// Restoring it with [`Session::from_checkpoint`] is bit-identical
-    /// to never having parked.
-    ///
-    /// Cell counts are exact: the engine accumulates refs/mispredicts
-    /// with unit weights, so the `f64` totals are integers and the
-    /// round trip through `u64` is lossless.
+    /// to never having parked. Cells are listed in ascending key order,
+    /// so two sessions in the same state encode the same bytes.
     pub fn to_checkpoint(&self, session_id: u64) -> Checkpoint {
         let run = self.replay.run();
-        let cells = self
-            .replay
-            .stats()
-            .iter()
-            .map(|(k, c)| (k, c.refs as u64, c.mispredicts as u64))
-            .collect();
         Checkpoint {
             session_id,
             predictor: self.config.predictor.clone(),
@@ -240,7 +229,7 @@ impl Session {
             mispredicts: run.mispredicts,
             predictor_state: self.replay.predictor_state(),
             mechanism_state: self.replay.mechanism_state(),
-            cells,
+            cells: self.replay.cells(),
         }
     }
 
@@ -251,8 +240,10 @@ impl Session {
     /// # Errors
     ///
     /// Returns a message when a spec no longer parses (a checkpoint
-    /// from a different build) or a state blob does not match the
-    /// rebuilt instance's configuration.
+    /// from a different build), a state blob does not match the
+    /// rebuilt instance's configuration, a key is listed twice, or the
+    /// cells' refs and mispredicts do not sum to the checkpoint's
+    /// `branches` and `mispredicts`.
     pub fn from_checkpoint(cp: &Checkpoint, token: u64) -> Result<Session, String> {
         let config = HelloConfig {
             predictor: cp.predictor.clone(),
@@ -271,16 +262,20 @@ impl Session {
             .load_mechanism_state(&cp.mechanism_state)
             .map_err(|e| format!("mechanism state: {e}"))?;
         session.replay.set_bhr(cp.bhr);
-        let mut stats = BucketStats::new();
-        for &(key, refs, miss) in &cp.cells {
-            if miss > refs {
-                return Err(format!(
-                    "cell {key:#x} claims {miss} mispredicts out of {refs} refs"
-                ));
-            }
-            stats.merge_cell(key, refs as f64, miss as f64);
+        let sums = cp.cells.iter().try_fold((0u64, 0u64), |(refs, miss), c| {
+            Some((refs.checked_add(c.1)?, miss.checked_add(c.2)?))
+        });
+        if sums != Some((cp.branches, cp.mispredicts)) {
+            return Err(format!(
+                "cells do not sum to the checkpoint's {} branches and {} mispredicts",
+                cp.branches, cp.mispredicts
+            ));
         }
-        session.replay.restore_stats(stats);
+        // Checkpoints written before cells were sorted list them in hash
+        // order.
+        let mut cells = cp.cells.clone();
+        cells.sort_unstable_by_key(|&(key, _, _)| key);
+        session.replay.restore_cells(&cells)?;
         session.replay.restore_run(PredictorRun {
             branches: cp.branches,
             mispredicts: cp.mispredicts,

@@ -45,7 +45,7 @@ fn local_reference(config: &HelloConfig, trace: &PackedTrace) -> cira_analysis::
     let mechanism = spec::parse_mechanism(&config.mechanism, index, init).unwrap();
     let mut replay = StreamingReplay::new(predictor, mechanism);
     replay.feed(trace);
-    replay.stats().clone()
+    replay.stats()
 }
 
 /// A policy tuned for tests: fast, plenty of attempts, deterministic.

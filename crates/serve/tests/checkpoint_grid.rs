@@ -158,7 +158,7 @@ fn transfer(from: &StreamingReplay, into: &mut StreamingReplay) {
         .expect("predictor state loads");
     into.load_mechanism_state(&from.mechanism_state())
         .expect("mechanism state loads");
-    into.restore_stats(from.stats().clone());
+    into.restore_cells(&from.cells()).expect("cells restore");
     into.restore_run(from.run());
 }
 
@@ -320,5 +320,87 @@ fn mechanism_state_bytes_match_the_pinned_digests() {
             *got, want,
             "{cell:?}: digest {got:#018x}; all digests: {digests:#018x?}"
         );
+    }
+}
+
+#[test]
+fn sessions_in_the_same_state_encode_the_same_bytes() {
+    let trace = synth_trace(0x5A3E, 3_000);
+    for mechanism in MECHANISMS {
+        let cfg = config("gshare:10:10", mechanism, "pcxorbhr:10", "ones");
+        let encode = || {
+            let mut session = Session::from_hello(&cfg, 9).expect(mechanism);
+            session.apply_batch(0, &trace);
+            session.to_checkpoint(9).encode()
+        };
+        assert_eq!(encode(), encode(), "{mechanism}: CIRD bytes differ");
+    }
+}
+
+#[test]
+fn checkpoints_with_cells_in_any_order_restore_bit_identically() {
+    // Older builds wrote cells in hash-map order; a restore must not care.
+    let trace = synth_trace(0x0DD5, 3_000);
+    let head: PackedTrace = (0..2_000).map(|i| trace.get(i).unwrap()).collect();
+    let tail: PackedTrace = (2_000..3_000).map(|i| trace.get(i).unwrap()).collect();
+    let mut rng = xorshift(0x5EED);
+    for mechanism in ["cir:8", "resetting:16", "saturating:16"] {
+        let cfg = config("gshare:10:10", mechanism, "pcxorbhr:10", "ones");
+        let mut original = Session::from_hello(&cfg, 1).expect(mechanism);
+        original.apply_batch(0, &head);
+        let mut checkpoint = original.to_checkpoint(1);
+        assert!(
+            checkpoint.cells.len() > 2,
+            "{mechanism}: too few cells to shuffle"
+        );
+        // Fisher-Yates shuffle of the cell list.
+        for i in (1..checkpoint.cells.len()).rev() {
+            checkpoint.cells.swap(i, (rng() % (i as u64 + 1)) as usize);
+        }
+        let mut restored = Session::from_checkpoint(&checkpoint, 1).expect(mechanism);
+        assert_eq!(
+            restored.to_checkpoint(1),
+            original.to_checkpoint(1),
+            "{mechanism}: restore re-sorts the cells"
+        );
+        assert_eq!(
+            original.apply_batch(1, &tail),
+            restored.apply_batch(1, &tail)
+        );
+        assert_eq!(original.snapshot(), restored.snapshot(), "{mechanism}");
+    }
+}
+
+#[test]
+fn checkpoints_whose_cells_disagree_with_their_totals_are_refused() {
+    let trace = synth_trace(0xCE11, 2_000);
+    let mut session =
+        Session::from_hello(&config("gshare:10:10", "cir:8", "pcxorbhr:10", "ones"), 3)
+            .expect("session");
+    session.apply_batch(0, &trace);
+    let good = session.to_checkpoint(3);
+    assert!(Session::from_checkpoint(&good, 3).is_ok());
+    let (key, refs, miss) = good.cells[0];
+
+    // A key listed twice, totals adjusted so the sums still hold.
+    let mut twice = good.clone();
+    twice.cells.push((key, refs, miss));
+    twice.branches += refs;
+    twice.mispredicts += miss;
+    let err = Session::from_checkpoint(&twice, 3).unwrap_err();
+    assert!(err.contains("listed twice"), "{err}");
+
+    // Counts that would overflow a u64 if added.
+    let mut overflow = good.clone();
+    overflow.cells.push((key, u64::MAX, 0));
+    let err = Session::from_checkpoint(&overflow, 3).unwrap_err();
+    assert!(err.contains("do not sum"), "{err}");
+
+    // Refs or mispredicts that miss the run's totals.
+    for (dr, dm) in [(1, 0), (0, 1)] {
+        let mut off = good.clone();
+        off.cells[0] = (key, refs + dr, miss + dm);
+        let err = Session::from_checkpoint(&off, 3).unwrap_err();
+        assert!(err.contains("do not sum"), "{err}");
     }
 }

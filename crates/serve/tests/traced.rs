@@ -32,7 +32,7 @@ fn local_reference(config: &HelloConfig, trace: &PackedTrace) -> (u64, cira_anal
     let mechanism = spec::parse_mechanism(&config.mechanism, index, init).unwrap();
     let mut replay = StreamingReplay::new(predictor, mechanism);
     replay.feed(trace);
-    (replay.run().mispredicts, replay.stats().clone())
+    (replay.run().mispredicts, replay.stats())
 }
 
 /// Pulls the server's Chrome trace JSON over a raw CIRS connection.

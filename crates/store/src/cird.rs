@@ -35,9 +35,10 @@
 //! checksum         u64   FNV-1a over all preceding bytes
 //! ```
 //!
-//! Cell refs/miss counts are exact `u64`s: the engine accumulates them
-//! with unit weights, so the `f64` totals are integers and the
-//! `f64 -> u64 -> f64` round trip is lossless.
+//! Cell refs/miss counts are the session's own integer counts. Sessions
+//! write cells in ascending key order, so equal states encode equal
+//! bytes; older images list them in hash-map order, and a restore
+//! accepts either.
 
 use crate::page::fnv64;
 
@@ -81,7 +82,8 @@ pub struct Checkpoint {
     pub predictor_state: Vec<u8>,
     /// Opaque mechanism state (`state_save` output).
     pub mechanism_state: Vec<u8>,
-    /// Bucket cells as `(key, refs, mispredicts)`, any order.
+    /// Bucket cells as `(key, refs, mispredicts)`: ascending by key as
+    /// sessions write them, any order in older images.
     pub cells: Vec<(u64, u64, u64)>,
 }
 
