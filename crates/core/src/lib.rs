@@ -243,7 +243,8 @@ mod tests {
         // Same record stream through the batched fast path and through the
         // suppressed-override scalar loop: keys and final state must agree.
         let mut fast = ResettingConfidence::paper_default(IndexSpec::pc_xor_bhr(6));
-        let mut scalar = ScalarObserve(ResettingConfidence::paper_default(IndexSpec::pc_xor_bhr(6)));
+        let mut scalar =
+            ScalarObserve(ResettingConfidence::paper_default(IndexSpec::pc_xor_bhr(6)));
         let n = 300;
         let pcs: Vec<u64> = (0..n as u64).map(|i| (i * 29) << 2).collect();
         let bhrs: Vec<u64> = (0..n as u64).map(|i| i * 13).collect();

@@ -187,7 +187,9 @@ mod tests {
     #[test]
     fn boxed_dispatch() {
         let mut m: Box<dyn ConfidenceMechanism + Send> =
-            Box::new(SelfConfidence::new(Box::new(|| Box::new(Gshare::new(6, 6)))));
+            Box::new(SelfConfidence::new(Box::new(|| {
+                Box::new(Gshare::new(6, 6))
+            })));
         let k = m.read_key(0, 0);
         m.update(0, 0, true);
         assert!(k <= 7);

@@ -196,12 +196,7 @@ pub trait BranchPredictor {
         out_correct: &mut [bool],
     ) {
         assert_batch_shape(pcs, bhrs, takens, out_correct);
-        for (((&pc, &h), &t), oc) in pcs
-            .iter()
-            .zip(bhrs)
-            .zip(takens)
-            .zip(out_correct.iter_mut())
-        {
+        for (((&pc, &h), &t), oc) in pcs.iter().zip(bhrs).zip(takens).zip(out_correct.iter_mut()) {
             *oc = self.predict_train(pc, h, t) == t;
         }
     }
@@ -502,7 +497,9 @@ mod tests {
         let mut b = crate::Gshare::new(6, 6);
         let mut x = 3u64;
         for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let (pc, bhr, taken) = (x & 0xfff, x >> 20, x >> 63 == 1);
             let via_split = a.predict_full(pc, bhr);
             a.update(pc, bhr, taken);

@@ -271,8 +271,7 @@ impl Tage {
             }
             None => (base_pred, false),
         };
-        let used_alt =
-            provider.is_some() && newly_allocated && self.use_alt_on_na >= USE_ALT_INIT;
+        let used_alt = provider.is_some() && newly_allocated && self.use_alt_on_na >= USE_ALT_INIT;
         let taken = if provider.is_none() || used_alt {
             alt_pred
         } else {
@@ -462,9 +461,7 @@ impl BranchPredictor for Tage {
                     || e.u > U_MAX
                     || u64::from(e.tag) > mask(self.tag_bits)
                 {
-                    return Err(format!(
-                        "tage component {c} entry {i} out of range: {p:#x}"
-                    ));
+                    return Err(format!("tage component {c} entry {i} out of range: {p:#x}"));
                 }
                 entries.push(e);
             }
@@ -472,7 +469,9 @@ impl BranchPredictor for Tage {
         }
         let use_alt = r.u8()?;
         if use_alt > USE_ALT_MAX {
-            return Err(format!("tage use_alt_on_na {use_alt} exceeds {USE_ALT_MAX}"));
+            return Err(format!(
+                "tage use_alt_on_na {use_alt} exceeds {USE_ALT_MAX}"
+            ));
         }
         let tick = r.u32()?;
         if tick >= TICK_PERIOD {
@@ -844,7 +843,9 @@ impl BranchPredictor for TageScLite {
             for (i, p) in packed.iter().enumerate() {
                 let c = (p & 0xff) as u8 as i8;
                 if *p > 0xff || !(SC_CTR_MIN..=SC_CTR_MAX).contains(&c) {
-                    return Err(format!("corrector table {t} entry {i} out of range: {p:#x}"));
+                    return Err(format!(
+                        "corrector table {t} entry {i} out of range: {p:#x}"
+                    ));
                 }
                 counters.push(c);
             }

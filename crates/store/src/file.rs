@@ -81,7 +81,9 @@ impl PageFile {
         let len = file.metadata()?.len();
         let invalid = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
         if len < PAGE_SIZE as u64 {
-            return Err(invalid(format!("file is {len} bytes, smaller than one page")));
+            return Err(invalid(format!(
+                "file is {len} bytes, smaller than one page"
+            )));
         }
         if len % PAGE_SIZE as u64 != 0 {
             return Err(invalid(format!(
@@ -215,8 +217,7 @@ impl PageFile {
     /// I/O failures extending the file.
     pub fn grow(&mut self, count: u64) -> io::Result<u64> {
         let first = self.pages;
-        self.file
-            .set_len((self.pages + count) * PAGE_SIZE as u64)?;
+        self.file.set_len((self.pages + count) * PAGE_SIZE as u64)?;
         self.pages += count;
         Ok(first)
     }
@@ -242,10 +243,8 @@ mod tests {
     use crate::page::{PageHeader, KIND_DATA};
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cira-store-file-{name}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cira-store-file-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("pages.cirstore")
     }
