@@ -285,17 +285,18 @@ impl<E: Entry> ConfidenceMechanism for OneLevel<E> {
     }
 
     fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, self.table.entries());
+        self.table.save(out);
         cira_predictor::state::put_u32(out, self.global_cir.value());
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = cira_predictor::state::StateReader::new(bytes);
-        let entries = r.u32_vec()?;
+        let table = self.table.read_state(&mut r)?;
         let global = r.u32()?;
-        self.table.load(&entries)?;
+        r.finish()?;
+        self.table.load(table);
         self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
-        r.finish()
+        Ok(())
     }
 }
 

@@ -10,6 +10,8 @@
 use std::fmt;
 use std::marker::PhantomData;
 
+use cira_predictor::state::{put_u32, StateReader};
+
 use crate::cir::Cir;
 use crate::init::InitPolicy;
 
@@ -111,6 +113,54 @@ impl Entry for Resetting {
 
 impl Counter for Saturating {}
 impl Counter for Resetting {}
+
+/// The count word of a saved table carries its layout tag in these top
+/// bits; `index_bits <= 28` leaves them free.
+const TAG_SHIFT: u32 = 29;
+
+/// The entry width of each layout tag: tag 0 is the 4-byte layout every
+/// table was written in before narrow states, tags 1 and 2 are one- and
+/// two-byte entries. Tags 3..=7 are unassigned.
+const TAG_WIDTHS: [usize; 3] = [4, 1, 2];
+
+/// The layout tag [`Table::save`] writes for entries in `0..=max`: the
+/// narrowest width that holds `max`.
+fn layout_tag(max: u32) -> u32 {
+    if max <= u32::from(u8::MAX) {
+        1
+    } else if max <= u32::from(u16::MAX) {
+        2
+    } else {
+        0
+    }
+}
+
+/// The entries of `bytes`, each `W` bytes little-endian.
+fn decode<const W: usize>(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(W).map(|c| {
+        let mut word = [0u8; 4];
+        word[..W].copy_from_slice(c);
+        u32::from_le_bytes(word)
+    })
+}
+
+/// Writes `entries` into `out`, each as its low `W` bytes little-endian.
+fn encode<const W: usize>(entries: &[u32], out: &mut [u8]) {
+    for (c, e) in out.chunks_exact_mut(W).zip(entries) {
+        c.copy_from_slice(&e.to_le_bytes()[..W]);
+    }
+}
+
+/// A table state read by [`Table::read_state`] and checked against that
+/// table; [`Table::load`] applies it.
+#[derive(Debug)]
+pub(crate) struct TableState<'a> {
+    /// The entries, `width` bytes each.
+    bytes: &'a [u8],
+    width: usize,
+    /// The `max` the entries were checked against.
+    max: u32,
+}
 
 /// A table of `2^index_bits` entries in `0..=max` under the rule `E`.
 ///
@@ -227,31 +277,97 @@ impl<E: Entry> Table<E> {
         }
     }
 
-    /// Restores every entry from values produced by
-    /// [`entries`](Self::entries) on an identically configured table.
+    /// Appends the table's state: a `u32` count word whose top three bits
+    /// tag the layout, then every entry little-endian at the narrowest
+    /// width of 1, 2 or 4 bytes that holds `max`. A table whose `max`
+    /// needs 4 bytes writes tag 0, the layout of a `u32`-count-prefixed
+    /// slice.
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        let tag = layout_tag(self.max);
+        put_u32(out, tag << TAG_SHIFT | self.entries.len() as u32);
+        let start = out.len();
+        let width = TAG_WIDTHS[tag as usize];
+        out.resize(start + width * self.entries.len(), 0);
+        let body = &mut out[start..];
+        match width {
+            1 => encode::<1>(&self.entries, body),
+            2 => encode::<2>(&self.entries, body),
+            _ => encode::<4>(&self.entries, body),
+        }
+    }
+
+    /// Reads one table state from `r` and checks it against this table,
+    /// leaving the table unchanged: [`load`](Self::load) applies it. The
+    /// state must use the layout [`save`](Self::save) writes for this
+    /// table's `max`, or the 4-byte layout of tag 0.
     ///
     /// # Errors
     ///
-    /// Returns a message if the entry count differs or any value exceeds
-    /// `max`; the table is then unchanged.
-    pub fn load(&mut self, values: &[u32]) -> Result<(), String> {
-        if values.len() != self.entries.len() {
+    /// Returns a message if the blob is truncated, the tag is neither of
+    /// those layouts, the entry count differs, or any entry exceeds `max`.
+    pub(crate) fn read_state<'a>(&self, r: &mut StateReader<'a>) -> Result<TableState<'a>, String> {
+        let word = r.u32()?;
+        let (tag, count) = (word >> TAG_SHIFT, word & ((1 << TAG_SHIFT) - 1));
+        if tag != 0 && tag != layout_tag(self.max) {
             return Err(format!(
-                "{} restore: {} entries, table needs {}",
+                "{} restore: layout tag {tag}, a table of max {:#x} is written with tag {} or 0",
                 E::label(self.max),
-                values.len(),
+                self.max,
+                layout_tag(self.max)
+            ));
+        }
+        if count as usize != self.entries.len() {
+            return Err(format!(
+                "{} restore: {count} entries, table needs {}",
+                E::label(self.max),
                 self.entries.len()
             ));
         }
-        if let Some(v) = values.iter().find(|&&v| v > self.max) {
+        let width = TAG_WIDTHS[tag as usize];
+        let bytes = r.take(width * self.entries.len())?;
+        let top = match width {
+            1 => decode::<1>(bytes).fold(0, u32::max),
+            2 => decode::<2>(bytes).fold(0, u32::max),
+            _ => decode::<4>(bytes).fold(0, u32::max),
+        };
+        if top > self.max {
             return Err(format!(
-                "{} restore: entry {v:#x} exceeds max {:#x}",
+                "{} restore: entry {top:#x} exceeds max {:#x}",
                 E::label(self.max),
                 self.max
             ));
         }
-        self.entries.copy_from_slice(values);
-        Ok(())
+        Ok(TableState {
+            bytes,
+            width,
+            max: self.max,
+        })
+    }
+
+    /// Overwrites every entry with a state that
+    /// [`read_state`](Self::read_state) checked against this table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was checked against a table of another size or
+    /// `max`.
+    pub(crate) fn load(&mut self, state: TableState<'_>) {
+        assert!(
+            state.max == self.max && state.bytes.len() == state.width * self.entries.len(),
+            "table state checked against another table"
+        );
+        let entries = self.entries.iter_mut();
+        match state.width {
+            1 => entries
+                .zip(decode::<1>(state.bytes))
+                .for_each(|(e, v)| *e = v),
+            2 => entries
+                .zip(decode::<2>(state.bytes))
+                .for_each(|(e, v)| *e = v),
+            _ => entries
+                .zip(decode::<4>(state.bytes))
+                .for_each(|(e, v)| *e = v),
+        }
     }
 
     /// Re-initializes every entry (models a context-switch flush).
@@ -349,13 +465,133 @@ mod tests {
         CirTable::new(0, 8, InitPolicy::AllOnes);
     }
 
+    /// Reads a whole blob as one table state and applies it.
+    fn load_blob<E: Entry>(table: &mut Table<E>, blob: &[u8]) -> Result<(), String> {
+        let mut r = StateReader::new(blob);
+        let state = table.read_state(&mut r)?;
+        r.finish()?;
+        table.load(state);
+        Ok(())
+    }
+
+    fn saved<E: Entry>(table: &Table<E>) -> Vec<u8> {
+        let mut out = Vec::new();
+        table.save(&mut out);
+        out
+    }
+
+    /// The same state in the tag-0 layout: a plain count, `u32` entries.
+    fn wide<E: Entry>(table: &Table<E>) -> Vec<u8> {
+        let mut out = Vec::new();
+        cira_predictor::state::put_u32_slice(&mut out, table.entries());
+        out
+    }
+
+    /// A trained table of `2^4` entries in `0..=max`.
+    fn trained(max: u32) -> Table<Resetting> {
+        let mut t = Table::<Resetting>::with_max(4, max, InitPolicy::Random(3));
+        for i in 0..200usize {
+            t.record(i * 7 % 16, i % 5 != 0);
+        }
+        t
+    }
+
     #[test]
-    fn load_rejects_wrong_lengths_and_values_above_max() {
-        let mut ct = CirTable::new(2, 4, InitPolicy::AllOnes);
-        assert!(ct.load(&[0; 3]).is_err());
-        assert!(ct.load(&[0, 0, 0x10, 0]).is_err());
-        assert_eq!(ct.entries(), &[0xf; 4], "a rejected load changes nothing");
-        ct.load(&[1, 2, 3, 0xf]).unwrap();
-        assert_eq!(ct.entries(), &[1, 2, 3, 0xf]);
+    fn save_writes_the_narrowest_width_that_holds_max() {
+        for (max, tag, width) in [
+            (1, 1, 1),
+            (0xff, 1, 1),
+            (0x100, 2, 2),
+            (0xffff, 2, 2),
+            (0x1_0000, 0, 4),
+            (u32::MAX, 0, 4),
+        ] {
+            let t = trained(max);
+            let blob = saved(&t);
+            assert_eq!(blob.len(), 4 + 16 * width, "max {max:#x}");
+            assert_eq!(
+                u32::from_le_bytes(blob[..4].try_into().unwrap()),
+                tag << 29 | 16
+            );
+            let mut back = Table::<Resetting>::with_max(4, max, InitPolicy::AllZeros);
+            load_blob(&mut back, &blob).unwrap();
+            assert_eq!(back.entries(), t.entries(), "max {max:#x}");
+            // The 4-byte layout of older states restores through the same reader.
+            let mut back = Table::<Resetting>::with_max(4, max, InitPolicy::AllZeros);
+            load_blob(&mut back, &wide(&t)).unwrap();
+            assert_eq!(back.entries(), t.entries(), "max {max:#x}, tag-0 layout");
+        }
+    }
+
+    /// Every mutation is refused without a panic and leaves `table` as it
+    /// was.
+    fn assert_refused<E: Entry>(table: &mut Table<E>, blob: &[u8], what: &str) {
+        let before = table.entries().to_vec();
+        assert!(load_blob(table, blob).is_err(), "{what}: accepted");
+        assert_eq!(
+            table.entries(),
+            before,
+            "{what}: a refused state changed the table"
+        );
+    }
+
+    #[test]
+    fn mutated_states_are_refused_and_change_nothing() {
+        for max in [16, 0xff, 0x3ff, 0xffff, 0x1_ffff] {
+            let mut t = trained(max);
+            for blob in [saved(&t), wide(&t)] {
+                for len in 0..blob.len() {
+                    assert_refused(&mut t, &blob[..len], &format!("{max:#x} cut to {len}"));
+                }
+                for bit in 0..32 {
+                    let mut bad = blob.clone();
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                    assert_refused(&mut t, &bad, &format!("{max:#x} layout bit {bit}"));
+                }
+                let tag = blob[3] >> 5;
+                for count in [0, 15, 17, (1 << 29) - 1] {
+                    let mut bad = blob.clone();
+                    bad[..4].copy_from_slice(&(u32::from(tag) << 29 | count).to_le_bytes());
+                    assert_refused(&mut t, &bad, &format!("{max:#x} count {count}"));
+                }
+            }
+            for tag in 3..8u32 {
+                let mut bad = saved(&t);
+                bad[..4].copy_from_slice(&(tag << 29 | 16).to_le_bytes());
+                assert_refused(&mut t, &bad, &format!("{max:#x} tag {tag}"));
+            }
+            // An entry above max at the written width, where it fits.
+            let width = (saved(&t).len() - 4) / 16;
+            if u64::from(max) < (1u64 << (8 * width)) - 1 {
+                let mut bad = saved(&t);
+                bad[4 + 5 * width..4 + 6 * width]
+                    .copy_from_slice(&(max + 1).to_le_bytes()[..width]);
+                assert_refused(&mut t, &bad, &format!("{max:#x} entry above max"));
+            }
+            let mut bad = wide(&t);
+            bad[4 + 4 * 5..4 + 4 * 6].copy_from_slice(&(max + 1).to_le_bytes());
+            assert_refused(&mut t, &bad, &format!("{max:#x} tag-0 entry above max"));
+        }
+    }
+
+    #[test]
+    fn a_narrow_width_other_than_the_writers_is_refused() {
+        // Tag 2 (two-byte entries) for a table the writer saves with tag 1.
+        let mut t = trained(16);
+        let mut blob = (2u32 << 29 | 16).to_le_bytes().to_vec();
+        for e in t.entries() {
+            blob.extend_from_slice(&(*e as u16).to_le_bytes());
+        }
+        assert_refused(&mut t, &blob, "tag 2 for max 16");
+    }
+
+    #[test]
+    #[should_panic(expected = "another table")]
+    fn load_refuses_a_state_checked_against_another_table() {
+        let small = trained(16);
+        let blob = saved(&small);
+        let mut r = StateReader::new(&blob);
+        let state = small.read_state(&mut r).unwrap();
+        trained(0xff).load(state);
     }
 }

@@ -221,20 +221,21 @@ impl ConfidenceMechanism for TwoLevelCir {
     }
 
     fn state_save(&self, out: &mut Vec<u8>) {
-        cira_predictor::state::put_u32_slice(out, self.level1.entries());
-        cira_predictor::state::put_u32_slice(out, self.level2.entries());
+        self.level1.save(out);
+        self.level2.save(out);
         cira_predictor::state::put_u32(out, self.global_cir.value());
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = cira_predictor::state::StateReader::new(bytes);
-        let l1 = r.u32_vec()?;
-        let l2 = r.u32_vec()?;
+        let l1 = self.level1.read_state(&mut r)?;
+        let l2 = self.level2.read_state(&mut r)?;
         let global = r.u32()?;
-        self.level1.load(&l1)?;
-        self.level2.load(&l2)?;
+        r.finish()?;
+        self.level1.load(l1);
+        self.level2.load(l2);
         self.global_cir = Cir::from_bits(global, GLOBAL_CIR_WIDTH);
-        r.finish()
+        Ok(())
     }
 }
 

@@ -10,6 +10,7 @@ use cira_core::one_level::{OneLevel, OneLevelCir, ResettingConfidence, Saturatin
 use cira_core::table::{CirEntry, Entry, Resetting, Saturating};
 use cira_core::two_level::TwoLevelCir;
 use cira_core::{Cir, ConfidenceMechanism, IndexInputs, IndexSpec, InitPolicy};
+use cira_predictor::state::put_u32_slice;
 use cira_predictor::SaturatingCounter;
 
 const CASES: u64 = 256;
@@ -282,6 +283,11 @@ fn state_round_trips<E: Entry>(case: u64, build: Build<E>, rng: &mut Rng) {
         .state_load(&bytes)
         .unwrap_or_else(|e| panic!("case {case}: {e}"));
     assert_eq!(save(&restored), bytes, "case {case}: {}", saved.describe());
+    let mut from_wide = build();
+    from_wide
+        .state_load(&wide(&saved))
+        .unwrap_or_else(|e| panic!("case {case}: tag-0 layout: {e}"));
+    assert_eq!(save(&from_wide), bytes, "case {case}: tag-0 layout");
     let (pcs, bhrs, correct) = rng.stream(300);
     let (mut a, mut b) = (vec![0; pcs.len()], vec![0; pcs.len()]);
     saved.observe_batch(&pcs, &bhrs, &correct, &mut a);
@@ -294,23 +300,49 @@ fn state_round_trips<E: Entry>(case: u64, build: Build<E>, rng: &mut Rng) {
     );
 }
 
-/// A blob with one entry above `max` is rejected and changes nothing.
+/// The same state with its table in the 4-byte layout of tag 0, as builds
+/// before narrow table states wrote it: a plain `u32` count, then `u32`
+/// entries, then the global CIR.
+fn wide<E: Entry>(m: &OneLevel<E>) -> Vec<u8> {
+    let saved = save(m);
+    let mut out = Vec::new();
+    put_u32_slice(&mut out, m.table().entries());
+    out.extend_from_slice(&saved[saved.len() - 4..]);
+    out
+}
+
+/// A blob with one entry above `max` is rejected and changes nothing: in
+/// the layout the table writes, wherever its entry width can hold such a
+/// value, and in the 4-byte layout of tag 0.
 fn entry_above_max_is_rejected<E: Entry>(case: u64, build: Build<E>, rng: &mut Rng) {
     let mut m = build();
     drive(&mut m, &rng.stream(200));
-    let max = m.table().max();
-    if max == u32::MAX {
-        return; // a 32-bit CIR: every u32 is a valid entry
-    }
+    let (max, len) = (m.table().max(), m.table().len());
     let before = save(&m);
-    // Layout: u32 entry count, the entries, then the global CIR.
-    let at = 4 + 4 * rng.range(0, m.table().len() as u64 - 1) as usize;
-    for bad in [max + 1, rng.range(max as u64 + 1, u32::MAX as u64) as u32] {
-        let mut blob = before.clone();
-        blob[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+    // Layout: the count word, the entries, then the global CIR.
+    let width = (before.len() - 8) / len;
+    let i = rng.range(0, len as u64 - 1) as usize;
+    let mut blobs = Vec::new();
+    let top = u32::MAX >> (32 - 8 * width);
+    if max < top {
+        for bad in [max + 1, rng.range(max as u64 + 1, top as u64) as u32] {
+            let mut blob = before.clone();
+            blob[4 + width * i..4 + width * (i + 1)].copy_from_slice(&bad.to_le_bytes()[..width]);
+            blobs.push((bad, blob));
+        }
+    }
+    if max < u32::MAX {
+        for bad in [max + 1, rng.range(max as u64 + 1, u32::MAX as u64) as u32] {
+            let mut blob = wide(&m);
+            blob[4 + 4 * i..8 + 4 * i].copy_from_slice(&bad.to_le_bytes());
+            blobs.push((bad, blob));
+        }
+    }
+    for (bad, blob) in blobs {
         assert!(
             m.state_load(&blob).is_err(),
-            "case {case}: {bad:#x} > {max:#x} accepted"
+            "case {case}: {bad:#x} > {max:#x} accepted ({}-byte layout)",
+            (blob.len() - 8) / len
         );
         assert_eq!(
             save(&m),

@@ -206,6 +206,7 @@ impl BranchPredictor for Agree {
         let counters = r.u64_vec()?;
         let valid = r.u64_vec()?;
         let dir = r.u64_vec()?;
+        r.finish()?;
         if valid.len() != self.bias_valid.len() || dir.len() != self.bias_dir.len() {
             return Err(format!(
                 "agree restore: bias bitmaps of {}/{} words, table needs {}",
@@ -217,7 +218,7 @@ impl BranchPredictor for Agree {
         self.counters.load_words(&counters)?;
         self.bias_valid = valid;
         self.bias_dir = dir;
-        r.finish()
+        Ok(())
     }
 }
 

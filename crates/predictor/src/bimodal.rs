@@ -100,8 +100,9 @@ impl BranchPredictor for Bimodal {
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = crate::state::StateReader::new(bytes);
-        self.table.load_words(&r.u64_vec()?)?;
-        r.finish()
+        let words = r.u64_vec()?;
+        r.finish()?;
+        self.table.load_words(&words)
     }
 }
 

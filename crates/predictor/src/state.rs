@@ -30,16 +30,20 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends a `u32` count followed by each word little-endian.
 pub fn put_u64_slice(out: &mut Vec<u8>, words: &[u64]) {
     put_u32(out, words.len() as u32);
-    for w in words {
-        put_u64(out, *w);
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (bytes, w) in out[start..].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
     }
 }
 
 /// Appends a `u32` count followed by each value little-endian.
 pub fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
     put_u32(out, values.len() as u32);
-    for v in values {
-        put_u32(out, *v);
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (bytes, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -79,7 +83,8 @@ impl<'a> StateReader<'a> {
         self.bytes.len() - self.at
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    /// Reads the next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(
                 "state blob truncated: need {n} bytes at offset {}, have {}",
@@ -116,7 +121,11 @@ impl<'a> StateReader<'a> {
                 self.remaining()
             ));
         }
-        (0..count).map(|_| self.u64()).collect()
+        let bytes = self.take(8 * count)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// Reads a `u32`-count-prefixed slice of `u32` values.
@@ -128,7 +137,11 @@ impl<'a> StateReader<'a> {
                 self.remaining()
             ));
         }
-        (0..count).map(|_| self.u32()).collect()
+        let bytes = self.take(4 * count)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|v| u32::from_le_bytes(v.try_into().expect("4 bytes")))
+            .collect())
     }
 
     /// Reads a `u32`-length-prefixed byte blob.

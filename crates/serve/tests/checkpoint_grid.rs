@@ -15,6 +15,11 @@
 //! 4. **Pinned state bytes** — one seeded stream through each confidence
 //!    mechanism yields recorded digests of its keys and state blob, so a
 //!    session parked by an older build still resumes bit-identically.
+//! 5. **Old images resume** — CIRD version-1 images recorded by a build
+//!    that wrote every table entry as 4 bytes restore and continue
+//!    bit-identically to sessions that never parked.
+//! 6. **Refused loads change nothing** — a state blob that fails any
+//!    check leaves the predictor or mechanism exactly as it was.
 
 use cira_analysis::engine::replay::StreamingReplay;
 use cira_analysis::spec::{parse_init, parse_mechanism, parse_predictor, IndexForm};
@@ -255,10 +260,47 @@ const PIN_TWO_LEVEL: [&str; 3] = [
     "two-level:pcxorbhr-cirxorpcxorbhr",
 ];
 
-/// Digest of every key read plus the final `mechanism_state()` bytes, one
-/// per cell in `pinned_cells()` order. These are the bytes a parked
-/// session's CIRD checkpoint carries; changing any of them without a CIRD
-/// version bump strands every session parked by an older build.
+/// Rewrites the table state at the front of `state` in the 4-byte layout
+/// of tag 0, the only one CIRD version 1 wrote (a plain `u32` count, then
+/// `u32` entries), and returns it with the bytes after the table.
+fn widen_table(state: &[u8]) -> (Vec<u8>, &[u8]) {
+    let word = u32::from_le_bytes(state[..4].try_into().unwrap());
+    let (tag, count) = (word >> 29, (word & ((1 << 29) - 1)) as usize);
+    let width = [4, 1, 2][tag as usize];
+    let mut wide = (count as u32).to_le_bytes().to_vec();
+    for entry in state[4..4 + width * count].chunks_exact(width) {
+        let mut word = [0u8; 4];
+        word[..width].copy_from_slice(entry);
+        wide.extend_from_slice(&word);
+    }
+    (wide, &state[4 + width * count..])
+}
+
+/// `mechanism`'s state blob with every table widened to the 4-byte
+/// layout: one table then the global CIR, or two for the two-level
+/// variants.
+fn widen_state(mechanism: &str, state: &[u8]) -> Vec<u8> {
+    let tables = if mechanism.starts_with("two-level") {
+        2
+    } else {
+        1
+    };
+    let mut out = Vec::new();
+    let mut rest = state;
+    for _ in 0..tables {
+        let (wide, after) = widen_table(rest);
+        out.extend_from_slice(&wide);
+        rest = after;
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Digest of every key read plus the final `mechanism_state()` bytes
+/// widened to the 4-byte table layout, one per cell in `pinned_cells()`
+/// order. These are the bytes a CIRD version-1 checkpoint carries, which
+/// sessions parked by older builds still resume from; a change to any
+/// key or table entry changes a digest.
 #[rustfmt::skip]
 const PINNED: [u64; 43] = [
     0xbf78775caa30cf84, 0xa14388f4f03e1d86, 0x6c35e6d207d0c286,
@@ -312,7 +354,7 @@ fn mechanism_state_bytes_match_the_pinned_digests() {
                     hash = fnv1a(hash, &key.to_le_bytes());
                 }
             }
-            fnv1a(hash, &replay.mechanism_state())
+            fnv1a(hash, &widen_state(mechanism, &replay.mechanism_state()))
         })
         .collect();
     for ((cell, got), want) in cells.iter().zip(&digests).zip(PINNED) {
@@ -402,5 +444,103 @@ fn checkpoints_whose_cells_disagree_with_their_totals_are_refused() {
         off.cells[0] = (key, refs + dr, miss + dm);
         let err = Session::from_checkpoint(&off, 3).unwrap_err();
         assert!(err.contains("do not sum"), "{err}");
+    }
+}
+
+/// The mechanisms of the CIRD version-1 images in `tests/cird_v1/`, one
+/// file each, named after the spec with `:` as `-`. A build that wrote
+/// every table entry as 4 bytes recorded them: predictor `gshare:6:6`,
+/// index `pcxorbhr:6`, init `ones`, threshold 8, session id 0x51, parked
+/// after the first 1,800 records of `synth_trace(0xC1D1, 3_000)`.
+const V1_IMAGES: [&str; 8] = [
+    "cir:8",
+    "cir:16",
+    "cir:32",
+    "resetting:16",
+    "saturating:16",
+    "two-level:pc-cir",
+    "two-level:pcxorbhr-cir",
+    "two-level:pcxorbhr-cirxorpcxorbhr",
+];
+
+#[test]
+fn version_1_images_resume_bit_identically() {
+    let trace = synth_trace(0xC1D1, 3_000);
+    let head: PackedTrace = (0..1_800).map(|i| trace.get(i).unwrap()).collect();
+    let tail: PackedTrace = (1_800..3_000).map(|i| trace.get(i).unwrap()).collect();
+    for mechanism in V1_IMAGES {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/cird_v1")
+            .join(format!("{}.cird", mechanism.replace(':', "-")));
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            bytes[4..8],
+            1u32.to_le_bytes(),
+            "{mechanism}: a version-1 image"
+        );
+        let parked = Checkpoint::decode(&bytes).unwrap_or_else(|e| panic!("{mechanism}: {e}"));
+
+        let cfg = config("gshare:6:6", mechanism, "pcxorbhr:6", "ones");
+        let mut never = Session::from_hello(&cfg, 0xA5A5).expect(mechanism);
+        never.apply_batch(0, &head);
+        // The image is today's checkpoint of the same state with its
+        // tables widened to 4-byte entries.
+        let mut widened = never.to_checkpoint(0x51);
+        widened.mechanism_state = widen_state(mechanism, &widened.mechanism_state);
+        assert_eq!(parked, widened, "{mechanism}: the old build's image");
+
+        let mut resumed = Session::from_checkpoint(&parked, 0xA5A5).expect(mechanism);
+        assert_eq!(
+            resumed.to_checkpoint(0x51),
+            never.to_checkpoint(0x51),
+            "{mechanism}: restored state"
+        );
+        assert_eq!(
+            resumed.apply_batch(1, &tail),
+            never.apply_batch(1, &tail),
+            "{mechanism}: tail acks"
+        );
+        assert_eq!(resumed.snapshot(), never.snapshot(), "{mechanism}");
+    }
+}
+
+#[test]
+fn a_refused_state_load_changes_nothing() {
+    let (ours, theirs) = (synth_trace(0x0BAD, 2_000), synth_trace(0x600D, 2_000));
+    for predictor in PREDICTORS {
+        for mechanism in MECHANISMS {
+            let cfg = config(predictor, mechanism, "pcxorbhr:10", "ones");
+            let label = format!("{predictor} / {mechanism}");
+            let mut replay = swar_replay(&cfg);
+            replay.feed(&ours);
+            let mut other = swar_replay(&cfg);
+            other.feed(&theirs);
+            let (predictor_before, mechanism_before) =
+                (replay.predictor_state(), replay.mechanism_state());
+
+            let mut blob = other.predictor_state();
+            blob.push(0);
+            assert!(
+                replay.load_predictor_state(&blob).is_err(),
+                "{label}: predictor + 1 byte"
+            );
+            let mut blob = other.mechanism_state();
+            blob.push(0);
+            assert!(
+                replay.load_mechanism_state(&blob).is_err(),
+                "{label}: mechanism + 1 byte"
+            );
+            if mechanism.starts_with("two-level") {
+                // Level 2's first entry above max, in the 4-byte layout
+                // that can hold it: level 1 alone would load.
+                let mut blob = widen_state(mechanism, &other.mechanism_state());
+                let level2 = 4 + 4 * (1 << 16);
+                blob[level2 + 4..level2 + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+                let err = replay.load_mechanism_state(&blob).unwrap_err();
+                assert!(err.contains("exceeds max"), "{label}: {err}");
+            }
+            assert_eq!(replay.predictor_state(), predictor_before, "{label}");
+            assert_eq!(replay.mechanism_state(), mechanism_before, "{label}");
+        }
     }
 }
