@@ -89,10 +89,8 @@ fn main() {
                     if i >= SESSIONS {
                         return service_us;
                     }
-                    let trace: PackedTrace = ibs_like_suite()[i % 6]
-                        .walker()
-                        .take(per_session)
-                        .collect();
+                    let trace: PackedTrace =
+                        ibs_like_suite()[i % 6].walker().take(per_session).collect();
                     let s0 = Instant::now();
                     let mut client =
                         Client::connect(&addr, HelloConfig::default()).expect("connect");

@@ -40,14 +40,38 @@ struct GridConfig {
 }
 
 const CONFIGS: [GridConfig; 8] = [
-    GridConfig { index_bits: 10, max: 8 },
-    GridConfig { index_bits: 10, max: 16 },
-    GridConfig { index_bits: 12, max: 8 },
-    GridConfig { index_bits: 12, max: 16 },
-    GridConfig { index_bits: 14, max: 16 },
-    GridConfig { index_bits: 16, max: 8 },
-    GridConfig { index_bits: 16, max: 16 },
-    GridConfig { index_bits: 16, max: 32 },
+    GridConfig {
+        index_bits: 10,
+        max: 8,
+    },
+    GridConfig {
+        index_bits: 10,
+        max: 16,
+    },
+    GridConfig {
+        index_bits: 12,
+        max: 8,
+    },
+    GridConfig {
+        index_bits: 12,
+        max: 16,
+    },
+    GridConfig {
+        index_bits: 14,
+        max: 16,
+    },
+    GridConfig {
+        index_bits: 16,
+        max: 8,
+    },
+    GridConfig {
+        index_bits: 16,
+        max: 16,
+    },
+    GridConfig {
+        index_bits: 16,
+        max: 32,
+    },
 ];
 
 /// Timing repetitions per path; the minimum wall time wins.
@@ -95,9 +119,13 @@ fn run_legacy(suite: &[Benchmark], len: u64) -> Vec<Vec<(String, BucketStats)>> 
 /// The engine path with the vectorized kernels (the production default).
 fn run_engine(suite: &[Benchmark], len: u64) -> Vec<SuiteBuckets> {
     Engine::global()
-        .run_grid(suite, len, &CONFIGS, |_| Gshare::paper_large(), |c| {
-            vec![Box::new(mechanism(c)) as Box<dyn ConfidenceMechanism>]
-        })
+        .run_grid(
+            suite,
+            len,
+            &CONFIGS,
+            |_| Gshare::paper_large(),
+            |c| vec![Box::new(mechanism(c)) as Box<dyn ConfidenceMechanism>],
+        )
         .into_iter()
         .map(|mut row| row.pop().expect("one series per config"))
         .collect()
@@ -159,13 +187,22 @@ fn main() {
     let bps = |secs: f64| 1e-6 * total_branches as f64 / secs;
 
     let (legacy_secs, legacy) = best_of(REPS, || run_legacy(&suite, len));
-    println!("legacy:        {legacy_secs:8.2}s  ({:.1}M branches/s)  [scalar]", bps(legacy_secs));
+    println!(
+        "legacy:        {legacy_secs:8.2}s  ({:.1}M branches/s)  [scalar]",
+        bps(legacy_secs)
+    );
 
     let (scalar_secs, engine_scalar) = best_of(REPS, || run_engine_scalar(&suite, len));
-    println!("engine-scalar: {scalar_secs:8.2}s  ({:.1}M branches/s)  [scalar]", bps(scalar_secs));
+    println!(
+        "engine-scalar: {scalar_secs:8.2}s  ({:.1}M branches/s)  [scalar]",
+        bps(scalar_secs)
+    );
 
     let (engine_secs, engine) = best_of(REPS, || run_engine(&suite, len));
-    println!("engine:        {engine_secs:8.2}s  ({:.1}M branches/s)  [simd]", bps(engine_secs));
+    println!(
+        "engine:        {engine_secs:8.2}s  ({:.1}M branches/s)  [simd]",
+        bps(engine_secs)
+    );
 
     // The speedup only counts if the answers agree, bit for bit.
     for (ci, (legacy_row, engine_row)) in legacy.iter().zip(&engine).enumerate() {

@@ -24,7 +24,9 @@ fn main() {
     );
     let suite = ibs_like_suite();
 
-    let static_curve = Engine::global().run_suite_static(&suite, len, Gshare::paper_large).curve();
+    let static_curve = Engine::global()
+        .run_suite_static(&suite, len, Gshare::paper_large)
+        .curve();
 
     let series = ["PC", "BHR", "BHRxorPC"];
     let results = run_figure(

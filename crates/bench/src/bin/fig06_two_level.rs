@@ -23,7 +23,9 @@ fn main() {
         len,
     );
     let suite = ibs_like_suite();
-    let static_curve = Engine::global().run_suite_static(&suite, len, Gshare::paper_large).curve();
+    let static_curve = Engine::global()
+        .run_suite_static(&suite, len, Gshare::paper_large)
+        .curve();
 
     run_figure(
         "fig06_two_level",

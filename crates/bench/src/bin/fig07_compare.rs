@@ -21,7 +21,9 @@ fn main() {
         len,
     );
     let suite = ibs_like_suite();
-    let static_curve = Engine::global().run_suite_static(&suite, len, Gshare::paper_large).curve();
+    let static_curve = Engine::global()
+        .run_suite_static(&suite, len, Gshare::paper_large)
+        .curve();
 
     let results = run_figure(
         "fig07_compare",

@@ -176,7 +176,9 @@ fn main() {
     for _ in 0..REPS {
         bare_result = timed(&mut bare_secs, || run_bare(&batches));
         instr_result = timed(&mut instr_secs, || run_instrumented(&batches, &metrics));
-        traced_result = timed(&mut traced_secs, || run_traced_disabled(&batches, &traced_metrics));
+        traced_result = timed(&mut traced_secs, || {
+            run_traced_disabled(&batches, &traced_metrics)
+        });
     }
     println!(
         "bare:         {bare_secs:8.3}s  ({:.1}M branches/s)",
@@ -196,7 +198,10 @@ fn main() {
     assert_eq!(bare_result, instr_result, "paths must score identically");
     assert_eq!(bare_result, traced_result, "paths must score identically");
     assert_eq!(metrics.records.get(), len * REPS as u64);
-    assert_eq!(metrics.batch_service_us.snapshot().count, metrics.batches.get());
+    assert_eq!(
+        metrics.batch_service_us.snapshot().count,
+        metrics.batches.get()
+    );
     assert_eq!(cira_obs::trace::stats().recorded, 0, "recorder stayed off");
 
     let overhead_pct = 100.0 * (instr_secs - bare_secs) / bare_secs;

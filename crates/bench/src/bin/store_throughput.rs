@@ -90,9 +90,7 @@ fn main() {
         let t0 = Instant::now();
         for token in 0..SESSIONS {
             let bytes = checkpoint.encode();
-            store
-                .put(token, token, 0, &bytes)
-                .expect("put checkpoint");
+            store.put(token, token, 0, &bytes).expect("put checkpoint");
         }
         spill_best = spill_best.min(t0.elapsed().as_secs_f64());
     }

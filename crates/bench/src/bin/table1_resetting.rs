@@ -6,8 +6,8 @@
 //! * counts 0–1: 57.9% in 6.85%;
 //! * counts 0–15 (everything but the saturated bucket): 89.3% in 20.3%.
 
-use cira_analysis::Engine;
 use cira_analysis::CounterTable;
+use cira_analysis::Engine;
 use cira_bench::{banner, results_dir, trace_len};
 use cira_core::one_level::ResettingConfidence;
 use cira_core::IndexSpec;
@@ -50,6 +50,10 @@ fn main() {
     }
     match std::fs::write(&path, table.to_csv()) {
         Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => cira_obs::warn!("could not write table csv", path = path.display(), error = e),
+        Err(e) => cira_obs::warn!(
+            "could not write table csv",
+            path = path.display(),
+            error = e
+        ),
     }
 }

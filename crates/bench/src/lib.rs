@@ -77,7 +77,8 @@ pub fn run_figure<P>(
 where
     P: BranchPredictor + Send,
 {
-    let results = Engine::global().run_suite_mechanisms(suite, len, make_predictor, make_mechanisms);
+    let results =
+        Engine::global().run_suite_mechanisms(suite, len, make_predictor, make_mechanisms);
     assert_eq!(results.len(), series.len(), "one name per mechanism");
     let curves: Vec<(String, CoverageCurve)> = series
         .iter()
@@ -107,7 +108,11 @@ pub fn report_curves(id: &str, curves: &[(String, CoverageCurve)]) {
     let path = results_dir().join(format!("{id}.csv"));
     match save_curves_csv(&path, &named) {
         Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => cira_obs::warn!("could not write results csv", path = path.display(), error = e),
+        Err(e) => cira_obs::warn!(
+            "could not write results csv",
+            path = path.display(),
+            error = e
+        ),
     }
 }
 

@@ -493,8 +493,11 @@ fn cmd_serve(args: &Args) -> CliResult {
     // 0 (the default) resolves to one shard per core at startup.
     cfg.shards = args.get_or("shards", cfg.shards, "a shard count (0 = per core)")?;
     cfg.trace = args.has("trace");
-    cfg.trace_capacity =
-        args.get_or("trace-capacity", cfg.trace_capacity, "an event count per ring")?;
+    cfg.trace_capacity = args.get_or(
+        "trace-capacity",
+        cfg.trace_capacity,
+        "an event count per ring",
+    )?;
     if cfg.trace && cfg.trace_capacity == 0 {
         return Err("--trace-capacity must be positive".into());
     }
@@ -596,11 +599,7 @@ fn cmd_replay(args: &Args) -> CliResult {
     // The final summary comes from the server's own STATS counters, not
     // the client-side ack totals, so it reflects what was actually scored.
     let wire = client.stats()?;
-    let wire_get = |name: &str| {
-        wire.iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    let wire_get = |name: &str| wire.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
     let (records, mispredicts, low) = (
         wire_get("records"),
         wire_get("mispredicts"),
@@ -712,7 +711,9 @@ fn cmd_store(args: &Args) -> CliResult {
         _ => return Err("usage: cira store inspect FILE [--decode]".into()),
     };
     if sub != "inspect" {
-        return Err(format!("unknown store subcommand {sub:?}; try `cira store inspect FILE`").into());
+        return Err(
+            format!("unknown store subcommand {sub:?}; try `cira store inspect FILE`").into(),
+        );
     }
     // Capacity 0 = no byte budget: inspection never needs to write.
     let mut store = cira_store::SessionStore::open(std::path::Path::new(path), 0)?;

@@ -184,7 +184,7 @@ fn errors_are_reported_with_nonzero_exit() {
         &["predict", "--bench", "gcc", "--oops", "1"],             // unknown flag
         &["predict", "--bench", "gcc", "--predictor", "gshare:9"], // bad spec
         &["info", "/nonexistent/file.cirt"],
-        &["gen", "--bench", "gcc"], // missing --out
+        &["gen", "--bench", "gcc"],    // missing --out
         &["replay", "--bench", "gcc"], // missing --connect
     ];
     for case in cases {
@@ -203,15 +203,39 @@ fn malformed_specs_fail_with_usage_in_the_message() {
     // typo into exit 1 plus the accepted forms, never a panic.
     let cases: &[(&[&str], &str)] = &[
         (
-            &["predict", "--bench", "gcc", "--len", "100", "--predictor", "frobnicate:1"],
+            &[
+                "predict",
+                "--bench",
+                "gcc",
+                "--len",
+                "100",
+                "--predictor",
+                "frobnicate:1",
+            ],
             "predictor",
         ),
         (
-            &["confidence", "--bench", "gcc", "--len", "100", "--mechanism", "resetting:0"],
+            &[
+                "confidence",
+                "--bench",
+                "gcc",
+                "--len",
+                "100",
+                "--mechanism",
+                "resetting:0",
+            ],
             "mechanism",
         ),
         (
-            &["confidence", "--bench", "gcc", "--len", "100", "--index", "pc"],
+            &[
+                "confidence",
+                "--bench",
+                "gcc",
+                "--len",
+                "100",
+                "--index",
+                "pc",
+            ],
             "index",
         ),
         (
@@ -219,7 +243,15 @@ fn malformed_specs_fail_with_usage_in_the_message() {
             "init",
         ),
         (
-            &["table", "--bench", "gcc", "--len", "100", "--mechanism", "two-level:nope"],
+            &[
+                "table",
+                "--bench",
+                "gcc",
+                "--len",
+                "100",
+                "--mechanism",
+                "two-level:nope",
+            ],
             "mechanism",
         ),
     ];
@@ -473,7 +505,8 @@ fn help_shows_usage() {
 #[test]
 fn trace_dump_pulls_chrome_json_from_a_traced_server() {
     let port_file = temp_path("trace.port");
-    let (mut server, port) = start_server_with(&port_file, &["--trace", "--trace-capacity", "8192"]);
+    let (mut server, port) =
+        start_server_with(&port_file, &["--trace", "--trace-capacity", "8192"]);
     let addr = format!("127.0.0.1:{port}");
 
     // Drive a session through the full lifecycle so the recorder has
@@ -491,10 +524,16 @@ fn trace_dump_pulls_chrome_json_from_a_traced_server() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     let json = std::fs::read_to_string(&out_path).unwrap();
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
+    assert!(
+        json.starts_with('{') && json.trim_end().ends_with('}'),
+        "{json}"
+    );
     assert!(json.contains("\"traceEvents\""), "{json}");
     for stage in ["accept", "parse", "score", "complete", "write_flush"] {
-        assert!(json.contains(&format!("\"{stage}\"")), "missing {stage} in dump");
+        assert!(
+            json.contains(&format!("\"{stage}\"")),
+            "missing {stage} in dump"
+        );
     }
 
     // Without --out the JSON goes to stdout.

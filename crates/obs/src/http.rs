@@ -144,7 +144,11 @@ fn handle(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let (status, content_type, body) = if method != "GET" {
-        ("405 Method Not Allowed", "text/plain", "method not allowed\n".to_string())
+        (
+            "405 Method Not Allowed",
+            "text/plain",
+            "method not allowed\n".to_string(),
+        )
     } else {
         let query = path.split_once('?').map(|(_, q)| q).unwrap_or("");
         match path.split('?').next().unwrap_or("") {

@@ -145,8 +145,7 @@ pub fn enabled(level: Level) -> bool {
 /// Quotes a value if it contains whitespace, quotes, or `=` so the line
 /// stays machine-parseable as space-separated `key=value` pairs.
 fn push_value(out: &mut String, v: &str) {
-    let needs_quotes =
-        v.is_empty() || v.chars().any(|c| c.is_whitespace() || c == '"' || c == '=');
+    let needs_quotes = v.is_empty() || v.chars().any(|c| c.is_whitespace() || c == '"' || c == '=');
     if !needs_quotes {
         out.push_str(v);
         return;
@@ -169,9 +168,7 @@ fn push_value(out: &mut String, v: &str) {
 /// Days-to-civil conversion per Howard Hinnant's algorithm.
 fn format_timestamp(out: &mut String, now: SystemTime) {
     use fmt::Write as _;
-    let d = now
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default();
+    let d = now.duration_since(UNIX_EPOCH).unwrap_or_default();
     let secs = d.as_secs() as i64;
     let millis = d.subsec_millis();
     let days = secs.div_euclid(86_400);

@@ -222,7 +222,11 @@ impl HistogramSnapshot {
             }
             let next = cumulative + n;
             if (next as f64) >= rank {
-                let lower = if i == 0 { 0.0 } else { (1u64 << (i - 1)) as f64 };
+                let lower = if i == 0 {
+                    0.0
+                } else {
+                    (1u64 << (i - 1)) as f64
+                };
                 let upper = match bucket_bound(i) {
                     Some(b) => b as f64,
                     None => return lower,
@@ -420,7 +424,9 @@ fn escape_help(help: &str) -> String {
 }
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Renders a label set as `{k="v",...}`; `extra` appends one more pair
@@ -556,7 +562,10 @@ mod tests {
         assert_eq!(a.merge(&b), b.merge(&a));
         let all = a.merge(&b).merge(&c);
         assert_eq!(all.count, 10);
-        assert_eq!(all.sum, (1u64 + 5 + 9 + 2 + 1024 + 77 + 300).wrapping_add(u64::MAX));
+        assert_eq!(
+            all.sum,
+            (1u64 + 5 + 9 + 2 + 1024 + 77 + 300).wrapping_add(u64::MAX)
+        );
     }
 
     #[test]

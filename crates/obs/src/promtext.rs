@@ -211,7 +211,10 @@ impl Exposition {
     pub fn validate(&self) -> Result<(), ParseError> {
         for fam in &self.families {
             if fam.samples.is_empty() {
-                return err(0, format!("family {} declared but has no samples", fam.name));
+                return err(
+                    0,
+                    format!("family {} declared but has no samples", fam.name),
+                );
             }
             match fam.kind {
                 MetricType::Counter => {
@@ -367,12 +370,10 @@ fn parse_sample(line: &str, lineno: usize) -> Result<Sample, ParseError> {
         "+Inf" => f64::INFINITY,
         "-Inf" => f64::NEG_INFINITY,
         "NaN" => f64::NAN,
-        s => s
-            .parse()
-            .map_err(|_| ParseError {
-                line: lineno,
-                msg: format!("bad sample value {s:?}"),
-            })?,
+        s => s.parse().map_err(|_| ParseError {
+            line: lineno,
+            msg: format!("bad sample value {s:?}"),
+        })?,
     };
     let (name, labels) = match name_part.find('{') {
         Some(brace) => {

@@ -214,7 +214,9 @@ impl Ring {
 
     /// Events overwritten so far (the wrap-counted drop account).
     fn dropped(&self) -> u64 {
-        self.head.load(Ordering::Relaxed).saturating_sub(self.capacity)
+        self.head
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.capacity)
     }
 
     /// Copies the retained window, discarding any slot the producer
@@ -844,7 +846,11 @@ mod tests {
         // A wrapped ring proves capacity-1 slots stable: the oldest
         // retained index shares its slot with the producer's next write,
         // so the snapshot discards it rather than risk a torn read.
-        assert_eq!(kept, (37..100).collect::<Vec<u64>>(), "newest window retained");
+        assert_eq!(
+            kept,
+            (37..100).collect::<Vec<u64>>(),
+            "newest window retained"
+        );
     }
 
     #[test]
@@ -955,7 +961,11 @@ mod tests {
         instant(Stage::ParkSpill, id, token, 0, 1);
         instant(Stage::ParkLoad, id, token, 0, 2);
         assert_ne!(export_token(token), token);
-        assert_eq!(export_token(token), export_token(token), "stable per process");
+        assert_eq!(
+            export_token(token),
+            export_token(token),
+            "stable per process"
+        );
         assert_eq!(export_token(0), 0, "no-session marker survives");
         let json = dump_chrome_json(None);
         assert!(

@@ -84,7 +84,10 @@ impl fmt::Display for ClientError {
             ClientError::Busy {
                 retry_after_ms,
                 message,
-            } => write!(f, "server busy (retry after {retry_after_ms} ms): {message}"),
+            } => write!(
+                f,
+                "server busy (retry after {retry_after_ms} ms): {message}"
+            ),
             ClientError::StoreFull {
                 retry_after_ms,
                 message,

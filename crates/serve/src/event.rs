@@ -286,7 +286,8 @@ mod tests {
         server.set_nonblocking(true).unwrap();
 
         let ep = Epoll::new().unwrap();
-        ep.add(server.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 42).unwrap();
+        ep.add(server.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 42)
+            .unwrap();
         let mut events = [Event::default(); 4];
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "idle socket is quiet");
 
@@ -304,7 +305,8 @@ mod tests {
         assert_ne!(events[0].ready() & EPOLLOUT, 0);
 
         // Peer close reports a hangup once read interest returns.
-        ep.modify(server.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 44).unwrap();
+        ep.modify(server.as_raw_fd(), EPOLLIN | EPOLLRDHUP, 44)
+            .unwrap();
         let mut buf = [0u8; 16];
         let mut s = &server;
         assert_eq!(s.read(&mut buf).unwrap(), 4);

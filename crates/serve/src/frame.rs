@@ -77,7 +77,10 @@ impl From<io::Error> for FrameError {
 }
 
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Fills `buf` completely. `started` says whether earlier bytes of this
@@ -353,7 +356,10 @@ mod tests {
     #[test]
     fn truncated_frames_rejected() {
         // EOF inside the header.
-        assert!(matches!(read_one(&[1, 0], 1024), Err(FrameError::Truncated)));
+        assert!(matches!(
+            read_one(&[1, 0], 1024),
+            Err(FrameError::Truncated)
+        ));
         // EOF inside the body.
         let mut buf = Vec::new();
         buf.extend_from_slice(&10u32.to_le_bytes());

@@ -224,7 +224,10 @@ impl ServerMetrics {
             out.push((format!("protocol_errors_{}", error_slot_name(i)), c.get()));
         }
         // Rev 1.2 additions below this line.
-        out.push(("sessions_live".into(), self.sessions_live.get().max(0) as u64));
+        out.push((
+            "sessions_live".into(),
+            self.sessions_live.get().max(0) as u64,
+        ));
         out.push(("sessions_parked".into(), self.sessions_parked.get()));
         out.push(("sessions_resumed".into(), self.sessions_resumed.get()));
         out.push(("resume_attempts".into(), self.resume_attempts.get()));
@@ -304,9 +307,11 @@ impl ServerMetrics {
             move || m.sessions_reset.get(),
         );
         let m = Arc::clone(self);
-        reg.counter("server_frames_in_total", "Frames read from clients", move || {
-            m.frames_in.get()
-        });
+        reg.counter(
+            "server_frames_in_total",
+            "Frames read from clients",
+            move || m.frames_in.get(),
+        );
         let m = Arc::clone(self);
         reg.counter(
             "server_frames_out_total",
@@ -631,9 +636,14 @@ mod tests {
         let text = reg.render();
         let doc = cira_obs::promtext::Exposition::parse_validated(&text).unwrap();
         assert_eq!(doc.value("cira_session_batches_total"), Some(1.0));
-        assert_eq!(doc.histogram("cira_session_batch_records").unwrap().count, 1);
         assert_eq!(
-            doc.histogram("cira_session_batch_service_us").unwrap().count,
+            doc.histogram("cira_session_batch_records").unwrap().count,
+            1
+        );
+        assert_eq!(
+            doc.histogram("cira_session_batch_service_us")
+                .unwrap()
+                .count,
             1
         );
         let errs = doc.family("cira_server_protocol_errors_total").unwrap();

@@ -210,7 +210,10 @@ impl SessionPark {
         exec: E,
     ) -> Result<(Self, usize), StoreError>
     where
-        E: FnOnce(Vec<std::ops::Range<u64>>, cira_store::PageScanner<'_>) -> Vec<cira_store::ScanChunk>,
+        E: FnOnce(
+            Vec<std::ops::Range<u64>>,
+            cira_store::PageScanner<'_>,
+        ) -> Vec<cira_store::ScanChunk>,
     {
         let store = SessionStore::open_scanned(path, disk_capacity_bytes, exec)?;
         Ok(Self::from_store(capacity, ttl, store))
@@ -715,7 +718,13 @@ mod tests {
             assert_eq!(park.pending_spill(), 1);
             // The background spiller (a shard tick, in production) makes
             // it durable before the process dies.
-            assert_eq!(park.spill_step(16), SpillOutcome { written: 1, store_full: false });
+            assert_eq!(
+                park.spill_step(16),
+                SpillOutcome {
+                    written: 1,
+                    store_full: false
+                }
+            );
             assert_eq!(park.pending_spill(), 0);
         } // process "dies" — nothing flushed beyond the spill's own sync
 
@@ -765,13 +774,23 @@ mod tests {
         }
         assert_eq!(park.pending_spill(), 5);
         assert_eq!(park.disk_records(), 0, "nothing written at insert time");
-        assert_eq!(park.spill_step(2), SpillOutcome { written: 2, store_full: false });
+        assert_eq!(
+            park.spill_step(2),
+            SpillOutcome {
+                written: 2,
+                store_full: false
+            }
+        );
         assert_eq!(park.pending_spill(), 3);
         assert_eq!(park.disk_records(), 2);
         assert_eq!(park.spill_step(usize::MAX).written, 3);
         assert_eq!(park.pending_spill(), 0);
         assert_eq!(park.disk_records(), 5);
-        assert_eq!(park.spill_step(usize::MAX), SpillOutcome::default(), "idempotent when drained");
+        assert_eq!(
+            park.spill_step(usize::MAX),
+            SpillOutcome::default(),
+            "idempotent when drained"
+        );
         assert_eq!(park.len(), 5, "spilled entries still count once");
         // Spilled-but-hot entries resume from the hot tier and release
         // their disk copy.
@@ -786,8 +805,7 @@ mod tests {
         let path = tmp("bgspill-crash");
         let _ = std::fs::remove_file(&path);
         {
-            let (park, _) =
-                SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
+            let (park, _) = SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
             park.insert(1, 1, session(1));
             park.insert(2, 2, session(2));
             assert_eq!(park.spill_step(1).written, 1, "one tick fired");
@@ -805,8 +823,7 @@ mod tests {
         let path = tmp("scanned");
         let _ = std::fs::remove_file(&path);
         {
-            let (park, _) =
-                SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
+            let (park, _) = SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
             for t in 1..=3u64 {
                 park.insert(t, t * 10, small_session(t));
             }
@@ -814,8 +831,10 @@ mod tests {
         }
         let exec = |ranges: Vec<std::ops::Range<u64>>, scan: cira_store::PageScanner<'_>| {
             std::thread::scope(|s| {
-                let handles: Vec<_> =
-                    ranges.into_iter().map(|r| s.spawn(move || scan(r))).collect();
+                let handles: Vec<_> = ranges
+                    .into_iter()
+                    .map(|r| s.spawn(move || scan(r)))
+                    .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             })
         };
@@ -879,8 +898,7 @@ mod tests {
         let path = tmp("deadline");
         let _ = std::fs::remove_file(&path);
         {
-            let (park, _) =
-                SessionPark::with_disk(0, Duration::from_millis(1), &path, 0).unwrap();
+            let (park, _) = SessionPark::with_disk(0, Duration::from_millis(1), &path, 0).unwrap();
             // Zero hot capacity: disk-only park.
             let outcome = park.insert(5, 5, session(5));
             assert!(outcome.persisted);
@@ -909,8 +927,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (park, _) =
             SessionPark::with_disk(8, Duration::from_secs(60), &path, 2 * 4096).unwrap();
-        assert!(park.insert_durable(1, 1, small_session(1)).unwrap().persisted);
-        assert!(park.insert_durable(2, 2, small_session(2)).unwrap().persisted);
+        assert!(
+            park.insert_durable(1, 1, small_session(1))
+                .unwrap()
+                .persisted
+        );
+        assert!(
+            park.insert_durable(2, 2, small_session(2))
+                .unwrap()
+                .persisted
+        );
         match park.insert_durable(3, 3, small_session(3)) {
             Err(ParkRefusal::Full(s)) => assert_eq!(s.token(), 3),
             other => panic!("expected Full, got {other:?}"),

@@ -910,7 +910,9 @@ pub fn stats_from_cells(cells: &[SnapshotCell]) -> Result<BucketStats, String> {
     let mut stats = BucketStats::new();
     for &(key, refs, miss) in cells {
         if !(refs.is_finite() && miss.is_finite() && (0.0..=refs).contains(&miss)) {
-            return Err(format!("invalid snapshot cell: key {key} refs {refs} miss {miss}"));
+            return Err(format!(
+                "invalid snapshot cell: key {key} refs {refs} miss {miss}"
+            ));
         }
         stats.merge_cell(key, refs, miss);
     }
@@ -1054,7 +1056,10 @@ mod tests {
             config: HelloConfig::default(),
         });
         hello[1] = b'X';
-        assert!(matches!(decode_client(&hello), Err(ProtoError::BadMagic(_))));
+        assert!(matches!(
+            decode_client(&hello),
+            Err(ProtoError::BadMagic(_))
+        ));
         // Truncations at every offset decode to an error, never panic.
         let batch = encode_client(&ClientFrame::Batch {
             seq: 1,

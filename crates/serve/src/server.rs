@@ -56,15 +56,11 @@ use cira_obs::trace::{self, Stage};
 use cira_obs::Registry;
 use cira_trace::codec::PackedTrace;
 
-use crate::event::{
-    Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
-};
+use crate::event::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::frame::{FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
 use crate::metrics::{register_shards, ServerMetrics, ShardMetrics};
 use crate::park::{ParkRefusal, SessionPark};
-use crate::proto::{
-    code, decode_client, encode_server, ClientFrame, ServerFrame, PROTO_VERSION,
-};
+use crate::proto::{code, decode_client, encode_server, ClientFrame, ServerFrame, PROTO_VERSION};
 use crate::session::Session;
 use crate::shutdown::ShutdownToken;
 
@@ -274,8 +270,12 @@ impl Shared {
         if !self.park.has_disk() {
             return;
         }
-        self.metrics.park_disk_records.set(self.park.disk_records() as i64);
-        self.metrics.park_disk_bytes.set(self.park.disk_bytes() as i64);
+        self.metrics
+            .park_disk_records
+            .set(self.park.disk_records() as i64);
+        self.metrics
+            .park_disk_bytes
+            .set(self.park.disk_bytes() as i64);
         let (hits, misses) = self.park.page_cache_stats();
         self.metrics.store_page_hits.set(hits as i64);
         self.metrics.store_page_misses.set(misses as i64);
@@ -285,7 +285,9 @@ impl Shared {
     /// keep their sessions (disk copy retained), evictions destroy them.
     fn account_park(&self, outcome: &crate::park::ParkOutcome) {
         if outcome.evicted > 0 {
-            self.metrics.park_evicted_capacity.add(outcome.evicted as u64);
+            self.metrics
+                .park_evicted_capacity
+                .add(outcome.evicted as u64);
             self.metrics.sessions_live.add(-(outcome.evicted as i64));
         }
         if outcome.spilled > 0 {
@@ -452,7 +454,10 @@ enum Action {
     CloseClean,
     CloseAbrupt,
     /// `RESUME` for a token another shard owns: migrate the connection.
-    Migrate { owner: usize, resume: ClientFrame },
+    Migrate {
+        owner: usize,
+        resume: ClientFrame,
+    },
 }
 
 /// One event-loop shard: an epoll instance, the connections it owns,
@@ -573,7 +578,9 @@ impl Shard {
     /// round-robin across all shards (self included).
     fn accept_ready(&mut self) {
         loop {
-            let Some(listener) = &self.listener else { return };
+            let Some(listener) = &self.listener else {
+                return;
+            };
             match listener.accept() {
                 Ok((stream, peer)) => {
                     self.shared.metrics.connections_total.inc();
@@ -608,7 +615,13 @@ impl Shard {
             return;
         }
         conn.interest = EPOLLIN | EPOLLRDHUP;
-        trace::instant(Stage::Accept, conn_trace_id(self.index, id), 0, self.index as u16, 0);
+        trace::instant(
+            Stage::Accept,
+            conn_trace_id(self.index, id),
+            0,
+            self.index as u16,
+            0,
+        );
         self.smetrics[self.index].connections.inc();
         if self.draining {
             self.send(
@@ -689,7 +702,9 @@ impl Shard {
 
     /// One connection's readiness: ingest, flush, then pump.
     fn service(&mut self, id: u64, ready: u32) {
-        let Some(mut conn) = self.conns.remove(&id) else { return };
+        let Some(mut conn) = self.conns.remove(&id) else {
+            return;
+        };
         if ready & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0
             && !conn.read_eof
             && conn.closing.is_none()
@@ -820,8 +835,7 @@ impl Shard {
             if batch_run {
                 let mut run = Vec::new();
                 while matches!(conn.parsed.front(), Some(ClientFrame::Batch { .. })) {
-                    if let Some(ClientFrame::Batch { seq, records }) = conn.parsed.pop_front()
-                    {
+                    if let Some(ClientFrame::Batch { seq, records }) = conn.parsed.pop_front() {
                         conn.queued_batches = conn.queued_batches.saturating_sub(1);
                         run.push((seq, records));
                     }
@@ -974,7 +988,11 @@ impl Shard {
                 // write-through before their ack).
                 let token = active.session.token();
                 let session_id = active.id;
-                trace::set_ctx(conn_trace_id(self.index, conn.token), token, self.index as u16);
+                trace::set_ctx(
+                    conn_trace_id(self.index, conn.token),
+                    token,
+                    self.index as u16,
+                );
                 let span = trace::Span::begin_ctx(Stage::ParkSpill);
                 let outcome = self.shared.park.insert(token, session_id, active.session);
                 span.end_with(outcome.persisted as u64);
@@ -1170,8 +1188,7 @@ impl Shard {
                 let token = self.shared.next_token_for(self.index, self.nshards);
                 match Session::from_hello(&config, token) {
                     Ok(session) => {
-                        let session_id =
-                            self.shared.session_ids.fetch_add(1, Ordering::Relaxed);
+                        let session_id = self.shared.session_ids.fetch_add(1, Ordering::Relaxed);
                         let ack = ServerFrame::HelloAck {
                             version: PROTO_VERSION,
                             session: session_id,
@@ -1238,7 +1255,11 @@ impl Shard {
                     );
                     return Action::CloseAbrupt;
                 }
-                trace::set_ctx(conn_trace_id(self.index, conn.token), token, self.index as u16);
+                trace::set_ctx(
+                    conn_trace_id(self.index, conn.token),
+                    token,
+                    self.index as u16,
+                );
                 let load_span = trace::Span::begin_ctx(Stage::ParkLoad);
                 let taken = self.shared.park.take(token);
                 load_span.end_with(taken.as_ref().is_some_and(|r| r.from_disk) as u64);
@@ -1248,8 +1269,11 @@ impl Shard {
                         let session_id = resumed.session_id;
                         let from_disk = resumed.from_disk;
                         let session = resumed.session;
-                        let ack =
-                            session.resume_ack(session_id, self.cfg.max_frame, self.cfg.max_inflight);
+                        let ack = session.resume_ack(
+                            session_id,
+                            self.cfg.max_frame,
+                            self.cfg.max_inflight,
+                        );
                         cira_obs::info!(
                             "session resumed",
                             session = session_id,
@@ -1276,8 +1300,7 @@ impl Shard {
                         self.conn_error(
                             conn,
                             code::UNKNOWN_SESSION,
-                            "resume token names no parked session (expired or evicted)"
-                                .to_owned(),
+                            "resume token names no parked session (expired or evicted)".to_owned(),
                         );
                         Action::CloseClean
                     }
@@ -1351,7 +1374,11 @@ impl Shard {
                 let active = conn.active.take().expect("session checked above");
                 let Active { id, session } = active;
                 let token = session.token();
-                trace::set_ctx(conn_trace_id(self.index, conn.token), token, self.index as u16);
+                trace::set_ctx(
+                    conn_trace_id(self.index, conn.token),
+                    token,
+                    self.index as u16,
+                );
                 let park_span = trace::Span::begin_ctx(Stage::ParkSpill);
                 let parked = self.shared.park.insert_durable(token, id, session);
                 park_span.end_with(parked.is_ok() as u64);
@@ -1396,8 +1423,7 @@ impl Shard {
                         self.conn_error(
                             conn,
                             code::STORE_FULL,
-                            "parking disabled on this server; session still attached"
-                                .to_owned(),
+                            "parking disabled on this server; session still attached".to_owned(),
                         );
                         Action::Continue
                     }
@@ -1450,7 +1476,9 @@ impl Shard {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut parse_bytes = 0i64;
         for id in ids {
-            let Some(mut conn) = self.conns.remove(&id) else { continue };
+            let Some(mut conn) = self.conns.remove(&id) else {
+                continue;
+            };
             parse_bytes += conn.rbuf.buffered() as i64;
             // Slow-loris guard: a peer silent mid-frame burns its stall
             // budget; progress is any newly ingested byte.
@@ -1517,7 +1545,9 @@ impl Shard {
             }
             self.pump_and_dispose(id, conn);
         }
-        self.smetrics[self.index].parse_buffer_bytes.set(parse_bytes);
+        self.smetrics[self.index]
+            .parse_buffer_bytes
+            .set(parse_bytes);
     }
 }
 
@@ -1579,7 +1609,9 @@ impl ServerHandle {
 
     fn join_inner(&mut self) {
         self.shutdown.trigger();
-        let Some(threads) = self.shards.take() else { return };
+        let Some(threads) = self.shards.take() else {
+            return;
+        };
         for s in &self.shard_shared {
             s.wake.wake();
         }
@@ -1618,11 +1650,7 @@ impl Drop for ServerHandle {
 ///
 /// Returns bind/epoll setup errors; everything after startup is reported
 /// per-connection, never fatally.
-pub fn serve(
-    addr: &str,
-    cfg: ServerConfig,
-    pool: &'static WorkerPool,
-) -> io::Result<ServerHandle> {
+pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
@@ -1761,7 +1789,10 @@ pub fn serve(
     let mut threads = Vec::with_capacity(nshards);
     for shard in built {
         let name = format!("cira-serve-shard{}", shard.index);
-        match std::thread::Builder::new().name(name).spawn(move || shard.run()) {
+        match std::thread::Builder::new()
+            .name(name)
+            .spawn(move || shard.run())
+        {
             Ok(t) => threads.push(t),
             Err(e) => {
                 // Unwind the shards already running.

@@ -48,11 +48,7 @@ impl ShutdownToken {
     /// Flips the token; all current and future waiters return immediately.
     pub fn trigger(&self) {
         self.inner.flag.store(true, Ordering::Release);
-        let _g = self
-            .inner
-            .gate
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _g = self.inner.gate.lock().unwrap_or_else(|e| e.into_inner());
         self.inner.wake.notify_all();
     }
 
@@ -67,11 +63,7 @@ impl ShutdownToken {
         if self.is_triggered() {
             return true;
         }
-        let g = self
-            .inner
-            .gate
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let g = self.inner.gate.lock().unwrap_or_else(|e| e.into_inner());
         if self.is_triggered() {
             return true;
         }

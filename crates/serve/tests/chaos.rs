@@ -11,7 +11,9 @@ use cira_analysis::spec;
 use cira_serve::chaos::{schedule_from_seed, ChaosProxy, FaultSpec};
 use cira_serve::client::RetryPolicy;
 use cira_serve::frame::{read_frame, write_frame, ReadOutcome};
-use cira_serve::proto::{code, decode_server, encode_client, ClientFrame, ServerFrame, PROTO_VERSION};
+use cira_serve::proto::{
+    code, decode_server, encode_client, ClientFrame, ServerFrame, PROTO_VERSION,
+};
 use cira_serve::server::{serve, ServerConfig, ServerHandle};
 use cira_serve::{Client, ClientError, HelloConfig};
 use cira_trace::codec::PackedTrace;
@@ -103,10 +105,9 @@ fn mid_batch_kill_body(shards: usize) {
 
     // The new instruments reach the Prometheus exposition too.
     let mut raw = Client::connect_raw(&upstream).unwrap();
-    let doc = cira_serve::cira_obs::promtext::Exposition::parse_validated(
-        &raw.metrics_text().unwrap(),
-    )
-    .expect("well-formed exposition");
+    let doc =
+        cira_serve::cira_obs::promtext::Exposition::parse_validated(&raw.metrics_text().unwrap())
+            .expect("well-formed exposition");
     assert!(doc.value("cira_server_sessions_resumed_total").unwrap() >= 1.0);
     assert!(doc.value("cira_server_sessions_parked_total").unwrap() >= 1.0);
     assert_eq!(doc.value("cira_server_sessions_shed_total"), Some(0.0));
@@ -384,10 +385,8 @@ fn park_pressure_spills_cold_sessions_and_reloads_them() {
 }
 
 fn park_pressure_body(shards: usize) {
-    let dir = std::env::temp_dir().join(format!(
-        "cira-chaos-spill-{}-s{shards}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("cira-chaos-spill-{}-s{shards}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ServerConfig {
         park_capacity: 2,

@@ -98,7 +98,10 @@ fn config(predictor: &str, mechanism: &str, index: &str, init: &str) -> HelloCon
 /// Property 1 for one spec cell: park mid-stream through the codec, then
 /// finish both sessions and require identical acks and snapshots.
 fn assert_round_trip(head: &PackedTrace, tail: &PackedTrace, cfg: &HelloConfig) {
-    let label = format!("{} / {} @ {} init {}", cfg.predictor, cfg.mechanism, cfg.index, cfg.init);
+    let label = format!(
+        "{} / {} @ {} init {}",
+        cfg.predictor, cfg.mechanism, cfg.index, cfg.init
+    );
     let mut original = Session::from_hello(cfg, 0xA5A5).expect(&label);
     original.apply_batch(0, head);
 
@@ -126,13 +129,21 @@ fn session_checkpoints_round_trip_across_the_spec_grid() {
     let tail: PackedTrace = (2_000..3_000).map(|i| trace.get(i).unwrap()).collect();
     for predictor in PREDICTORS {
         for mechanism in MECHANISMS {
-            assert_round_trip(&head, &tail, &config(predictor, mechanism, "pcxorbhr:10", "ones"));
+            assert_round_trip(
+                &head,
+                &tail,
+                &config(predictor, mechanism, "pcxorbhr:10", "ones"),
+            );
         }
     }
     // Index functions and init policies sweep with a fixed pairing.
     for index in INDICES {
         for init in INITS {
-            assert_round_trip(&head, &tail, &config("gshare:10:10", "resetting:16", index, init));
+            assert_round_trip(
+                &head,
+                &tail,
+                &config("gshare:10:10", "resetting:16", index, init),
+            );
         }
     }
 }
@@ -206,8 +217,11 @@ fn truncated_and_corrupted_checkpoints_are_rejected() {
     // A small-table cell keeps the image a few KiB, so exhaustive
     // truncation and byte-flip sweeps stay fast.
     let trace = synth_trace(0xBADC, 1_500);
-    let mut session = Session::from_hello(&config("gshare:6:6", "resetting:4", "pcxorbhr:6", "ones"), 7)
-        .expect("session");
+    let mut session = Session::from_hello(
+        &config("gshare:6:6", "resetting:4", "pcxorbhr:6", "ones"),
+        7,
+    )
+    .expect("session");
     session.apply_batch(0, &trace);
     let bytes = session.to_checkpoint(7).encode();
     assert!(Checkpoint::decode(&bytes).is_ok(), "pristine image decodes");

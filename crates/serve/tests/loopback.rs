@@ -226,7 +226,10 @@ fn hostile_clients_body(shards: usize) {
         seq: 0,
         records: bench_trace(0, 64),
     });
-    assert_eq!(error_code(raw_exchange(&addr, &[batch])), code::HELLO_REQUIRED);
+    assert_eq!(
+        error_code(raw_exchange(&addr, &[batch])),
+        code::HELLO_REQUIRED
+    );
 
     // A bad spec in the HELLO.
     let bad_spec = encode_client(&ClientFrame::Hello {

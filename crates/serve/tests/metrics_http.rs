@@ -48,11 +48,8 @@ fn live_scrape_body(shards: usize) {
 
     // Generate real traffic so the scrape has nonzero series.
     let trace: PackedTrace = ibs_like_suite()[0].walker().take(12_000).collect();
-    let mut client = Client::connect(
-        &handle.local_addr().to_string(),
-        HelloConfig::default(),
-    )
-    .expect("connect");
+    let mut client =
+        Client::connect(&handle.local_addr().to_string(), HelloConfig::default()).expect("connect");
     let totals = client.stream(&trace, 3_000).expect("stream");
     assert_eq!(totals.records, 12_000);
     client.goodbye().expect("goodbye");
@@ -99,10 +96,7 @@ fn live_scrape_body(shards: usize) {
     let mut raw = Client::connect_raw(&handle.local_addr().to_string()).unwrap();
     let wire_doc =
         Exposition::parse_validated(&raw.metrics_text().unwrap()).expect("wire exposition");
-    assert_eq!(
-        wire_doc.value("cira_session_records_total"),
-        Some(12_000.0)
-    );
+    assert_eq!(wire_doc.value("cira_session_records_total"), Some(12_000.0));
     raw.goodbye().unwrap();
 
     // The other HTTP routes behave.
@@ -111,7 +105,9 @@ fn live_scrape_body(shards: usize) {
     let mut lines = body.lines();
     assert_eq!(lines.next(), Some("ok"));
     assert!(lines.next().is_some_and(|l| l.starts_with("version=")));
-    assert!(lines.next().is_some_and(|l| l.starts_with("uptime_seconds=")));
+    assert!(lines
+        .next()
+        .is_some_and(|l| l.starts_with("uptime_seconds=")));
     let (status, _) = http_get(http_addr, "/nope");
     assert!(status.contains("404"), "status: {status}");
 

@@ -83,7 +83,10 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     }
 
     // A loadable Chrome trace: one JSON object with a traceEvents array.
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
+    assert!(
+        json.starts_with('{') && json.trim_end().ends_with('}'),
+        "{json}"
+    );
     assert!(json.contains("\"traceEvents\""), "{json}");
 
     // Every lifecycle stage must appear, park spill/load and the
