@@ -1,12 +1,16 @@
 //! Minimal HTTP/1.0 `GET` responder for exposing `/metrics`, `/healthz`,
-//! and `/trace`.
+//! and `/trace`, and the one-request client ([`get`]) that `cira stats`
+//! and `cira trace dump` read it with.
 //!
 //! Just enough HTTP to satisfy a Prometheus scraper or `curl` over
 //! `std::net::TcpListener`: one short-lived connection per request, no
 //! keep-alive, no TLS, no routing beyond exact paths. The accept loop
 //! runs on its own thread, polls a shutdown flag between accepts
 //! (non-blocking listener + short sleep), and renders the registry fresh
-//! on every scrape.
+//! on every scrape. Requests are served one at a time, each within one
+//! deadline for reading the request and writing the response, so a
+//! client that trickles its bytes delays the next scrape by at most that
+//! deadline.
 //!
 //! Routes:
 //!
@@ -18,8 +22,8 @@
 //!   Chrome trace-event JSON. Always valid JSON; an empty event list
 //!   when tracing was never initialized.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -44,7 +48,8 @@ fn healthz_body() -> String {
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
-/// Per-request socket deadline so a stalled client cannot wedge the loop.
+/// Deadline for one request, from accept to the last byte of the
+/// response, so a stalled or trickling client cannot wedge the loop.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running `/metrics` listener; shut down explicitly or on drop.
@@ -116,9 +121,17 @@ fn accept_loop(listener: TcpListener, registry: Arc<Registry>, shutdown: Arc<Ato
     }
 }
 
-fn handle(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+/// Time left until `deadline`, or `TimedOut` once it has passed.
+fn remaining(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
+    }
+    Ok(left)
+}
+
+fn handle(mut stream: TcpStream, registry: &Registry) -> io::Result<()> {
+    let deadline = Instant::now() + IO_TIMEOUT;
     stream.set_nonblocking(false)?;
     let mut buf = [0u8; 1024];
     let mut filled = 0usize;
@@ -127,6 +140,7 @@ fn handle(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
         if filled == buf.len() {
             break;
         }
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
         let n = stream.read(&mut buf[filled..])?;
         if n == 0 {
             break;
@@ -178,8 +192,49 @@ fn handle(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    let mut unsent = response.as_bytes();
+    while !unsent.is_empty() {
+        stream.set_write_timeout(Some(remaining(deadline)?))?;
+        match stream.write(unsent)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => unsent = &unsent[n..],
+        }
+    }
+    Ok(())
+}
+
+/// Sends one HTTP/1.0 `GET path` to `addr` and returns the response's
+/// status line (e.g. `HTTP/1.0 200 OK`) and body. `timeout` bounds the
+/// connect and each read and write.
+///
+/// # Errors
+///
+/// Address resolution, connect and socket errors, and a response with
+/// no blank line after its headers.
+pub fn get(
+    addr: impl ToSocketAddrs,
+    path: &str,
+    timeout: Duration,
+) -> io::Result<(String, String)> {
+    let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
+    })?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    write!(stream, "GET {path} HTTP/1.0\r\n\r\n")?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    let (head, body) = raw.split_once("\r\n\r\n").ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "HTTP response without a blank line",
+        )
+    })?;
+    Ok((
+        head.lines().next().unwrap_or("").to_owned(),
+        body.to_owned(),
+    ))
 }
 
 #[cfg(test)]
@@ -188,12 +243,7 @@ mod tests {
     use crate::promtext::Exposition;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-        (head.lines().next().unwrap().to_string(), body.to_string())
+        super::get(addr, path, Duration::from_secs(10)).unwrap()
     }
 
     #[test]
@@ -225,6 +275,36 @@ mod tests {
 
         server.shutdown();
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_hold_the_listener_past_its_deadline() {
+        let reg = Arc::new(Registry::new("t"));
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&reg)).unwrap();
+        let addr = server.addr();
+        // One byte of a request line every 300 ms: each read finishes well
+        // inside any per-call timeout, and the whole line takes 6 s.
+        let dribbler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /metrics HTTP/1.0" {
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        // Let the accept loop take the dribbler first.
+        std::thread::sleep(Duration::from_millis(200));
+        let t0 = Instant::now();
+        let (status, _) = get(addr, "/healthz");
+        let waited = t0.elapsed();
+        assert_eq!(status, "HTTP/1.0 200 OK");
+        assert!(
+            waited < IO_TIMEOUT + Duration::from_secs(1),
+            "a concurrent scrape waited {waited:?} behind a dribbling client"
+        );
+        dribbler.join().unwrap();
+        server.shutdown();
     }
 
     #[test]
