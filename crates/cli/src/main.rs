@@ -12,8 +12,8 @@
 //! cira table --bench gcc                       Table-1 style counter table
 //! cira vm prog.asm --mem 64 --trace out.cirt   run a tiny-VM program
 //! cira serve --metrics-port 9001               server + /metrics endpoint
-//! cira stats --connect 127.0.0.1:4747          live counters + latency quantiles
-//! cira trace dump --connect 127.0.0.1:4747     flight-recorder Chrome trace
+//! cira stats --metrics 127.0.0.1:9001          live counters + latency quantiles
+//! cira trace dump --metrics 127.0.0.1:9001     flight-recorder Chrome trace
 //! ```
 //!
 //! Run `cira help` for full usage.
@@ -75,11 +75,13 @@ COMMANDS
       [--batch N] [--verify] [--retries N] [--timeout SECS]
       [--park] [--resume TOKEN]
       plus the `confidence` spec flags
-  stats                      inspect a running server's live metrics
-      --connect HOST:PORT [--retries N] [--timeout SECS]
+  stats                      print a running server's counters and latency
+      --metrics HOST:PORT    quantiles from its metrics listener (the
+      [--timeout SECS]       address `serve --metrics-port` opened)
   trace dump                 dump a server's flight recorder as Chrome
-      --connect HOST:PORT    trace-event JSON (load in chrome://tracing
-      [--out FILE]           or Perfetto); prints to stdout without --out
+      --metrics HOST:PORT    trace-event JSON (load in chrome://tracing
+      [--timeout SECS]       or Perfetto) from its metrics listener;
+      [--out FILE]           prints to stdout without --out
   store inspect FILE         examine a durable park store (*.cirstore)
       [--decode]             also decode each CIRD checkpoint
   help                       show this text
@@ -635,30 +637,63 @@ fn cmd_replay(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> CliResult {
-    args.check_known(&[CLIENT_FLAGS, &["connect"]].concat())?;
-    let addr = args.require("connect")?.to_owned();
-    // A raw (sessionless) connection: STATS and METRICS answer pre-HELLO.
-    let mut client = client_builder(args, &addr)?.connect_raw()?;
-    let pairs = client.stats()?;
-    let text = client.metrics_text()?;
-    client.goodbye()?;
+/// GETs `path` from the metrics listener that `--metrics HOST:PORT`
+/// names (`cira serve --metrics-port`), within `--timeout` seconds.
+fn metrics_get(args: &Args, path: &str) -> Result<String, Box<dyn std::error::Error>> {
+    let addr = args.require("metrics")?;
+    let secs: u64 = args.get_or("timeout", 10, "a timeout in seconds")?;
+    if secs == 0 {
+        return Err("--timeout must be positive".into());
+    }
+    let url = format!("http://{addr}{path}");
+    let (status, body) = cira_obs::http::get(addr, path, std::time::Duration::from_secs(secs))
+        .map_err(|e| format!("GET {url}: {e}"))?;
+    if !status.contains(" 200 ") {
+        return Err(format!("GET {url}: {status}").into());
+    }
+    Ok(body)
+}
 
-    println!("server counters ({addr}):");
-    let width = pairs.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    for (name, value) in &pairs {
+fn cmd_stats(args: &Args) -> CliResult {
+    use cira_obs::promtext::{Exposition, MetricType};
+    args.check_known(&["metrics", "timeout"])?;
+    let text = metrics_get(args, "/metrics")?;
+    let doc = Exposition::parse_validated(&text)
+        .map_err(|e| format!("bad metrics exposition from server: {e}"))?;
+
+    println!("server counters ({}):", args.require("metrics")?);
+    let rows: Vec<(String, f64)> = doc
+        .families
+        .iter()
+        .filter(|f| f.kind != MetricType::Histogram)
+        .flat_map(|f| &f.samples)
+        .map(|s| {
+            let labels: Vec<String> = s
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            let name = if labels.is_empty() {
+                s.name.clone()
+            } else {
+                format!("{}{{{}}}", s.name, labels.join(","))
+            };
+            (name, s.value)
+        })
+        .collect();
+    // Capped so one long label set (build_info) does not widen every row.
+    let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0).min(64);
+    for (name, value) in &rows {
         println!("  {name:<width$}  {value}");
     }
 
-    let doc = cira_serve::cira_obs::promtext::Exposition::parse_validated(&text)
-        .map_err(|e| format!("bad metrics exposition from server: {e}"))?;
     println!();
     println!(
         "  {:<30} {:>9} {:>10} {:>8} {:>8} {:>8}",
         "histogram", "count", "mean", "p50", "p90", "p99"
     );
     for family in &doc.families {
-        if family.kind != cira_serve::cira_obs::promtext::MetricType::Histogram {
+        if family.kind != MetricType::Histogram {
             continue;
         }
         let Some(h) = doc.histogram(&family.name) else {
@@ -683,17 +718,12 @@ fn cmd_stats(args: &Args) -> CliResult {
 }
 
 fn cmd_trace(args: &Args) -> CliResult {
-    args.check_known(&[CLIENT_FLAGS, &["connect", "out"]].concat())?;
-    let sub = args.single_positional("usage: cira trace dump --connect HOST:PORT [--out FILE]")?;
+    args.check_known(&["metrics", "timeout", "out"])?;
+    let sub = args.single_positional("usage: cira trace dump --metrics HOST:PORT [--out FILE]")?;
     if sub != "dump" {
         return Err(format!("unknown trace subcommand {sub:?}; try `cira trace dump`").into());
     }
-    let addr = args.require("connect")?.to_owned();
-    // A raw (sessionless) connection: TRACE_DUMP answers pre-HELLO, like
-    // STATS and METRICS, so no predictor spec is needed to pull a trace.
-    let mut client = client_builder(args, &addr)?.connect_raw()?;
-    let json = client.trace_json()?;
-    client.goodbye()?;
+    let json = metrics_get(args, "/trace")?;
     match args.get("out") {
         Some(path) => {
             std::fs::write(path, &json)?;

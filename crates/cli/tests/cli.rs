@@ -1,7 +1,8 @@
 //! End-to-end tests of the `cira` binary.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn cira(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cira"))
@@ -298,6 +299,32 @@ fn start_server_with(port_file: &std::path::Path, extra: &[&str]) -> (std::proce
     panic!("server never wrote its port file");
 }
 
+/// Starts `cira serve --metrics-port 0` with extra flags and returns the
+/// child, its session address and its metrics address, both read from
+/// the lines it prints at startup.
+fn start_metrics_server(extra: &[&str]) -> (Child, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cira"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--metrics-port", "0"])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("server starts");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut after = |prefix: &str| {
+        lines
+            .by_ref()
+            .map_while(Result::ok)
+            .find_map(|l| l.strip_prefix(prefix).map(str::to_owned))
+            .unwrap_or_else(|| panic!("server never printed {prefix:?}"))
+    };
+    let addr = after("cira-serve listening on ");
+    let metrics = after("metrics at http://");
+    let metrics = metrics.trim_end_matches("/metrics").to_owned();
+    // Keep reading, so the server's later prints never hit a closed pipe.
+    std::thread::spawn(move || lines.for_each(drop));
+    (child, addr, metrics)
+}
+
 #[test]
 fn serve_and_replay_verify_bit_identical() {
     let port_file = temp_path("serve.port");
@@ -504,10 +531,8 @@ fn help_shows_usage() {
 
 #[test]
 fn trace_dump_pulls_chrome_json_from_a_traced_server() {
-    let port_file = temp_path("trace.port");
-    let (mut server, port) =
-        start_server_with(&port_file, &["--trace", "--trace-capacity", "8192"]);
-    let addr = format!("127.0.0.1:{port}");
+    let (mut server, addr, metrics) =
+        start_metrics_server(&["--trace", "--trace-capacity", "8192"]);
 
     // Drive a session through the full lifecycle so the recorder has
     // accept/parse/score/write events to dump.
@@ -517,8 +542,8 @@ fn trace_dump_pulls_chrome_json_from_a_traced_server() {
     let out = cira(&[
         "trace",
         "dump",
-        "--connect",
-        &addr,
+        "--metrics",
+        &metrics,
         "--out",
         out_path.to_str().unwrap(),
     ]);
@@ -537,9 +562,75 @@ fn trace_dump_pulls_chrome_json_from_a_traced_server() {
     }
 
     // Without --out the JSON goes to stdout.
-    let out = cira(&["trace", "dump", "--connect", &addr]);
+    let out = cira(&["trace", "dump", "--metrics", &metrics]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("\"traceEvents\""));
+
+    server.kill().expect("stop server");
+    let _ = server.wait();
+}
+
+#[test]
+fn stats_prints_counters_and_batch_quantiles_from_the_metrics_listener() {
+    let (mut server, addr, metrics) = start_metrics_server(&[]);
+    // 20,000 records in batches of 4,096: five batches.
+    replay_ok(&[
+        "--connect",
+        &addr,
+        "--bench",
+        "jpeg",
+        "--len",
+        "20000",
+        "--batch",
+        "4096",
+    ]);
+
+    let out = cira(&["stats", "--metrics", &metrics]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains(&format!("server counters ({metrics}):")),
+        "{text}"
+    );
+    // A row's whitespace-separated columns, found by its first column.
+    let row = |name: &str| -> Vec<&str> {
+        text.lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&name))
+            .unwrap_or_else(|| panic!("no {name} row in:\n{text}"))
+    };
+    assert_eq!(row("cira_session_records_total")[1], "20000");
+    assert_eq!(row("cira_session_batches_total")[1], "5");
+    assert_eq!(row("cira_server_sessions_opened_total")[1], "1");
+    assert_eq!(
+        row("cira_server_protocol_errors_total{code=\"malformed\"}")[1],
+        "0"
+    );
+
+    // The batch histograms: count, mean, then p50/p90/p99.
+    assert_eq!(row("histogram")[3..], ["p50", "p90", "p99"]);
+    for name in [
+        "cira_session_batch_records",
+        "cira_session_batch_service_us",
+    ] {
+        let cols = row(name);
+        assert_eq!(cols.len(), 6, "{cols:?}");
+        assert_eq!(cols[1], "5", "{cols:?}");
+        let q: Vec<f64> = cols[3..].iter().map(|c| c.parse().unwrap()).collect();
+        assert!(
+            q[0] <= q[1] && q[1] <= q[2],
+            "quantiles out of order: {cols:?}"
+        );
+    }
+    let records_p99: f64 = row("cira_session_batch_records")[5].parse().unwrap();
+    assert!(
+        (2048.0..=4096.0).contains(&records_p99),
+        "p99 {records_p99}"
+    );
+
+    // The session port does not speak HTTP: the flag names the listener.
+    let out = cira(&["stats", "--metrics", &addr, "--timeout", "2"]);
+    assert!(!out.status.success(), "{}", stdout(&out));
 
     server.kill().expect("stop server");
     let _ = server.wait();

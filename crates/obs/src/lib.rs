@@ -19,12 +19,13 @@
 //!   histogram quantiles client-side.
 //! * [`mod@trace`] — a flight recorder: per-thread lock-free ring buffers of
 //!   compact span events covering a request's whole lifecycle, exported
-//!   as Chrome trace-event JSON (`GET /trace`, the `TRACE_DUMP` wire
-//!   frame, `SIGUSR1`, and automatic error-path dumps). Disabled tracing
+//!   as Chrome trace-event JSON (`GET /trace`, `SIGUSR1`, and automatic
+//!   error-path dumps). Disabled tracing
 //!   costs one relaxed atomic load per site, like disabled log levels.
 //! * [`http`] — a minimal HTTP/1.0 `GET` responder over
 //!   `std::net::TcpListener`, enough to expose `/metrics`, `/healthz`,
-//!   and `/trace` to a scraper with zero dependencies.
+//!   and `/trace` to a scraper with zero dependencies, and the
+//!   one-request client `cira stats` and `cira trace dump` read it with.
 //!
 //! All hot-path updates use relaxed atomics: metrics are observational
 //! and never synchronize data, so instrumentation is cheap enough to

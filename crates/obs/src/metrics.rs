@@ -402,6 +402,18 @@ impl Registry {
         self.push(name, help, &[], Value::Histogram(Box::new(f)));
     }
 
+    /// Registers a histogram series with labels; repeat calls with the
+    /// same `name` add series to one family.
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        f: impl Fn() -> HistogramSnapshot + Send + Sync + 'static,
+    ) {
+        self.push(name, help, labels, Value::Histogram(Box::new(f)));
+    }
+
     /// Renders every family in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP` and `# TYPE` once per family, histogram
     /// buckets cumulative with an explicit `+Inf`.

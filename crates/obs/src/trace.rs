@@ -6,8 +6,8 @@
 //! thread owns a fixed-capacity SPSC ring of binary span events (48 bytes
 //! each: timestamps, trace/span ids, stage, shard, session token). The
 //! producer is the owning thread; the single consumer is whoever dumps —
-//! an HTTP `GET /trace`, a `TRACE_DUMP` wire frame, a `SIGUSR1` handler,
-//! or an error-path flight dump. The ring **overwrites** its oldest slot
+//! an HTTP `GET /trace`, a `SIGUSR1` handler, or an error-path flight
+//! dump. The ring **overwrites** its oldest slot
 //! when full (that is the flight-recorder contract: the newest window is
 //! always retained) and counts what it overwrote, so a dump always reports
 //! exactly how much history it lost.
@@ -38,9 +38,9 @@
 //! spans, instant (`"i"`) events for points, and `thread_name` metadata
 //! rows naming each ring.
 //!
-//! Dumps leave the process over unauthenticated surfaces (`GET /trace`,
-//! the pre-session `TRACE_DUMP` frame), and the raw session resume token
-//! is the sole `RESUME` credential — so exports never carry it. The
+//! Dumps leave the process over an unauthenticated surface
+//! (`GET /trace`), and the raw session resume token is the sole
+//! `RESUME` credential — so exports never carry it. The
 //! `token` arg in the JSON is [`export_token`]: a per-process keyed
 //! one-way hash, stable within a process (every event of one session
 //! still correlates) but useless against `RESUME`.
@@ -599,8 +599,8 @@ fn export_key() -> u64 {
 
 /// The session-token value dumps export in place of the raw resume
 /// token. Raw tokens are the sole `RESUME` credential and dumps are
-/// served to any client that can reach the port (`GET /trace`, the
-/// pre-session `TRACE_DUMP` frame), so exports carry a keyed one-way
+/// served to any client that can reach the metrics port (`GET /trace`),
+/// so exports carry a keyed one-way
 /// hash instead: stable within a process — every event of one session
 /// maps to the same value, preserving correlation — but unusable to
 /// hijack a parked session. `0` (no session attached) stays `0`.

@@ -344,10 +344,9 @@ impl ClientBuilder {
 
     /// Connects **without** negotiating a session (no `HELLO`).
     ///
-    /// A raw connection can only use the sessionless rev 1.1 frames:
-    /// [`Client::stats`], [`Client::metrics_text`], and
-    /// [`Client::goodbye`]. This is what `cira stats` uses to inspect a
-    /// live server without disturbing its sessions.
+    /// A raw connection can only use the sessionless frames:
+    /// [`Client::stats`] and [`Client::goodbye`], which read the server's
+    /// counters without disturbing its sessions.
     ///
     /// # Errors
     ///
@@ -947,38 +946,6 @@ impl Client {
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>, ClientError> {
         match self.roundtrip(&ClientFrame::Stats)? {
             ServerFrame::StatsReply(pairs) => Ok(pairs),
-            ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Fetches the full Prometheus text exposition (server, session, and
-    /// pool metrics) over the wire — the same text `GET /metrics` serves.
-    ///
-    /// # Errors
-    ///
-    /// Server `ERROR` frames (including unknown-frame-type errors from
-    /// pre-rev-1.1 servers) and transport failures.
-    pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&ClientFrame::Metrics)? {
-            ServerFrame::MetricsReply { text } => Ok(text),
-            ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    /// Fetches the server's flight-recorder contents as Chrome
-    /// trace-event JSON (rev 1.5) — the same blob `GET /trace` serves
-    /// and `cira trace dump` writes. A server running with tracing
-    /// disabled returns a valid but empty trace.
-    ///
-    /// # Errors
-    ///
-    /// Server `ERROR` frames (including unknown-frame-type errors from
-    /// pre-rev-1.5 servers) and transport failures.
-    pub fn trace_json(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&ClientFrame::TraceDump)? {
-            ServerFrame::TraceDumpReply { json } => Ok(json),
             ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }

@@ -38,16 +38,16 @@
 //!   reconnects and resumes under a [`client::RetryPolicy`];
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy for tests;
 //! * [`metrics`] — live server-wide counters, gauges, and latency
-//!   histograms ([`cira_obs`] instruments), exposed three ways: the
-//!   `STATS` frame (name/value pairs), the `METRICS` frame (Prometheus
-//!   text over the wire), and HTTP `GET /metrics` when
-//!   [`server::ServerConfig::metrics_addr`] is set. Since rev 1.5 the
-//!   server also threads [`cira_obs::trace`](mod@cira_obs::trace)
+//!   histograms ([`cira_obs`] instruments), each declared once and read
+//!   two ways: the `STATS` frame (name/value pairs) and HTTP
+//!   `GET /metrics` when [`server::ServerConfig::metrics_addr`] is set.
+//!   The server also threads [`cira_obs::trace`](mod@cira_obs::trace)
 //!   flight-recorder spans through every pipeline stage (accept → parse →
 //!   checkout → score → complete → write, plus park spill/load and
 //!   cross-shard migration), exported as Chrome trace JSON via
-//!   `GET /trace`, the `TRACE_DUMP` frame, `SIGUSR1`, and automatic crash
-//!   dumps ([`server::ServerConfig::trace`]);
+//!   `GET /trace` on the same listener, and written to
+//!   `CIRA_TRACE_DIR` on `SIGUSR1` and in automatic crash dumps
+//!   ([`server::ServerConfig::trace`]);
 //! * [`shutdown`] — a waitable token plus optional SIGINT/SIGTERM/SIGUSR1
 //!   hooks.
 //!

@@ -1,7 +1,12 @@
 //! Live server-wide metrics: lock-free counters, gauges, and histograms
-//! from [`cira_obs`], readable at any time via the `STATS` frame, the
-//! `METRICS` frame, or HTTP `GET /metrics` (and from process code via
-//! [`ServerMetrics::snapshot`]).
+//! from [`cira_obs`], read through the `STATS` frame
+//! ([`ServerMetrics::snapshot`]) and the registry behind HTTP
+//! `GET /metrics` ([`ServerMetrics::register`], [`register_shards`]).
+//!
+//! Each instrument is declared once, as one line of a `metrics_block!`
+//! table: its kind, its field (which is also its `STATS` name), its
+//! exposition name, and its help text (which is also the field's doc).
+//! The struct, its `Default`, and both readouts come from that table.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,129 +36,180 @@ fn error_slot_name(i: usize) -> &'static str {
     }
 }
 
-/// Monotonic counters, gauges, and histograms describing everything the
-/// server has done since start. All updates are relaxed: metrics are
-/// observational and never synchronize data.
-#[derive(Debug)]
-pub struct ServerMetrics {
-    /// When this metrics block (i.e. the server) was created.
-    started: Instant,
-    /// Connections ever accepted.
-    pub connections_total: Counter,
-    /// Connections currently open.
-    pub connections_active: Gauge,
-    /// Sessions successfully negotiated (HELLO accepted).
-    pub sessions_opened: Counter,
-    /// Session resets performed.
-    pub sessions_reset: Counter,
-    /// Frames read from clients.
-    pub frames_in: Counter,
-    /// Frames written to clients.
-    pub frames_out: Counter,
-    /// Bytes of frame bodies read.
-    pub bytes_in: Counter,
-    /// Bytes of frame bodies written.
-    pub bytes_out: Counter,
-    /// BATCH frames processed.
-    pub batches: Counter,
-    /// Branch records scored and trained.
-    pub records: Counter,
-    /// Mispredicted records.
-    pub mispredicts: Counter,
-    /// Low-confidence records (key < session threshold).
-    pub low_confidence: Counter,
-    /// Records per BATCH frame.
-    pub batch_records: Histogram,
-    /// Wall-clock time to score one BATCH, in microseconds.
-    pub batch_service_us: Histogram,
-    /// Sessions alive right now: attached to a connection or parked
-    /// (rev 1.2).
-    pub sessions_live: Gauge,
-    /// Sessions parked after an unclean disconnect (rev 1.2).
-    pub sessions_parked: Counter,
-    /// Sessions successfully re-attached via `RESUME` (rev 1.2).
-    pub sessions_resumed: Counter,
-    /// `RESUME` frames received, successful or not (rev 1.2).
-    pub resume_attempts: Counter,
-    /// `RESUME` frames that named no parked session (rev 1.2).
-    pub resume_failures: Counter,
-    /// `HELLO`s shed with `BUSY` at session capacity (rev 1.2).
-    pub sessions_shed: Counter,
-    /// Parked sessions evicted by the TTL sweep (rev 1.2).
-    pub park_evicted_ttl: Counter,
-    /// Parked sessions evicted to make room (rev 1.2).
-    pub park_evicted_capacity: Counter,
-    /// Sessions closed by the idle timeout (rev 1.2).
-    pub sessions_idle_evicted: Counter,
-    /// Parked sessions dropped from the hot tier with their disk copy
-    /// kept (rev 1.3).
-    pub park_spilled: Counter,
-    /// Resumes served by decoding a disk checkpoint — the hot tier had
-    /// no copy (rev 1.3).
-    pub park_loaded: Counter,
-    /// Parks refused because the disk tier was at capacity (rev 1.3).
-    pub park_store_full: Counter,
-    /// Checkpoint records currently in the disk tier (rev 1.3).
-    pub park_disk_records: Gauge,
-    /// Bytes of live checkpoint pages in the disk tier (rev 1.3).
-    pub park_disk_bytes: Gauge,
-    /// Store buffer-pool page hits (rev 1.3).
-    pub store_page_hits: Gauge,
-    /// Store buffer-pool page misses, i.e. disk reads (rev 1.3).
-    pub store_page_misses: Gauge,
-    /// Wall-clock milliseconds the startup recovery scan of the park's
-    /// disk tier took (rev 1.4); 0 when no disk tier is configured.
-    pub store_recovery_ms: Gauge,
-    /// Hot parked sessions written through to disk by the background
-    /// spiller on a shard tick (rev 1.4).
-    pub park_bg_spilled: Counter,
-    /// Connections dropped for protocol violations, broken down by error
-    /// code (slot 0 collects violations with no `ERROR` frame: mid-frame
-    /// disconnects and stalls). Increment via
-    /// [`ServerMetrics::protocol_error`]; total via
-    /// [`ServerMetrics::protocol_errors_total`].
-    protocol_errors: [Counter; ERROR_SLOTS],
+/// How a table entry reaches its instrument in the metrics block `M`;
+/// the variant is the instrument's kind.
+enum Read<M> {
+    Counter(fn(&M) -> &Counter),
+    Gauge(fn(&M) -> &Gauge),
+    Histogram(fn(&M) -> &Histogram),
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self {
-            started: Instant::now(),
-            connections_total: Counter::new(),
-            connections_active: Gauge::new(),
-            sessions_opened: Counter::new(),
-            sessions_reset: Counter::new(),
-            frames_in: Counter::new(),
-            frames_out: Counter::new(),
-            bytes_in: Counter::new(),
-            bytes_out: Counter::new(),
-            batches: Counter::new(),
-            records: Counter::new(),
-            mispredicts: Counter::new(),
-            low_confidence: Counter::new(),
-            batch_records: Histogram::new(),
-            batch_service_us: Histogram::new(),
-            sessions_live: Gauge::new(),
-            sessions_parked: Counter::new(),
-            sessions_resumed: Counter::new(),
-            resume_attempts: Counter::new(),
-            resume_failures: Counter::new(),
-            sessions_shed: Counter::new(),
-            park_evicted_ttl: Counter::new(),
-            park_evicted_capacity: Counter::new(),
-            sessions_idle_evicted: Counter::new(),
-            park_spilled: Counter::new(),
-            park_loaded: Counter::new(),
-            park_store_full: Counter::new(),
-            park_disk_records: Gauge::new(),
-            park_disk_bytes: Gauge::new(),
-            store_page_hits: Gauge::new(),
-            store_page_misses: Gauge::new(),
-            store_recovery_ms: Gauge::new(),
-            park_bg_spilled: Counter::new(),
-            protocol_errors: Default::default(),
+/// One instrument as its table line declares it.
+struct Instrument<M> {
+    /// The field name, which is also the `STATS` name.
+    name: &'static str,
+    /// The exposition name, before the registry's prefix.
+    prom: &'static str,
+    help: &'static str,
+    read: Read<M>,
+}
+
+/// Declares a metrics block from one line per instrument,
+/// `Kind field, "exposition_name", "help text";`, grouped into named
+/// sections. It generates the struct (the help text is each field's
+/// doc), its `Default`, and one [`Instrument`] table per section, in
+/// line order. Fields written in the struct body are read by hand and
+/// start from the value given there.
+macro_rules! metrics_block {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $($(#[$xattr:meta])* $xfield:ident: $xty:ty = $xinit:expr,)*
+        }
+        $(
+            $(#[$sattr:meta])*
+            const $section:ident = [$($kind:ident $field:ident, $prom:literal, $help:literal;)*];
+        )+
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug)]
+        pub struct $name {
+            $($(#[$xattr])* $xfield: $xty,)*
+            $($(#[doc = $help] pub $field: $kind,)*)+
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                Self {
+                    $($xfield: $xinit,)*
+                    $($($field: $kind::new(),)*)+
+                }
+            }
+        }
+
+        impl $name {
+            $(
+                $(#[$sattr])*
+                const $section: &'static [Instrument<Self>] = &[$(Instrument {
+                    name: stringify!($field),
+                    prom: $prom,
+                    help: $help,
+                    read: Read::$kind(|m| &m.$field),
+                },)*];
+            )+
+        }
+    };
+}
+
+/// Appends the `STATS` pair of every counter and gauge in `table`
+/// (gauges clamp at zero); histograms have no `STATS` name.
+fn push_stats<M>(m: &M, table: &[Instrument<M>], out: &mut Vec<(String, u64)>) {
+    for i in table {
+        let value = match i.read {
+            Read::Counter(f) => f(m).get(),
+            Read::Gauge(f) => f(m).get().max(0) as u64,
+            Read::Histogram(_) => continue,
+        };
+        out.push((i.name.to_owned(), value));
+    }
+}
+
+/// Registers every instrument in `table` on `reg`, each series carrying
+/// `labels`. Takes an [`Arc`] because the registry closures read the
+/// block on every scrape.
+fn register_table<M: Send + Sync + 'static>(
+    m: &Arc<M>,
+    table: &[Instrument<M>],
+    reg: &Registry,
+    labels: &[(&str, &str)],
+) {
+    for i in table {
+        let m = Arc::clone(m);
+        match i.read {
+            Read::Counter(f) => reg.counter_with(i.prom, i.help, labels, move || f(&m).get()),
+            Read::Gauge(f) => reg.gauge_with(i.prom, i.help, labels, move || f(&m).get()),
+            Read::Histogram(f) => {
+                reg.histogram_with(i.prom, i.help, labels, move || f(&m).snapshot())
+            }
         }
     }
+}
+
+metrics_block! {
+    /// Monotonic counters, gauges, and histograms describing everything the
+    /// server has done since start. All updates are relaxed: metrics are
+    /// observational and never synchronize data.
+    pub struct ServerMetrics {
+        /// When this metrics block (i.e. the server) was created.
+        started: Instant = Instant::now(),
+        /// Connections dropped for protocol violations, broken down by
+        /// error code (slot 0 collects violations with no `ERROR` frame:
+        /// mid-frame disconnects and stalls). Increment via
+        /// [`ServerMetrics::protocol_error`]; total via
+        /// [`ServerMetrics::protocol_errors_total`].
+        protocol_errors: [Counter; ERROR_SLOTS] = Default::default(),
+    }
+    /// Rev 1.0. In `STATS` the protocol-error total, `uptime_seconds` and
+    /// the breakdown follow them; in the exposition the uptime precedes
+    /// them and the per-code family follows.
+    const REV_1_0 = [
+        Counter connections_total, "server_connections_total", "Connections ever accepted";
+        Gauge connections_active, "server_connections_active", "Connections currently open";
+        Counter sessions_opened, "server_sessions_opened_total",
+            "Sessions successfully negotiated";
+        Counter sessions_reset, "server_sessions_reset_total", "Session resets performed";
+        Counter frames_in, "server_frames_in_total", "Frames read from clients";
+        Counter frames_out, "server_frames_out_total", "Frames written to clients";
+        Counter bytes_in, "server_bytes_in_total", "Bytes of frame bodies read";
+        Counter bytes_out, "server_bytes_out_total", "Bytes of frame bodies written";
+        Counter batches, "session_batches_total", "BATCH frames processed";
+        Counter records, "session_records_total", "Branch records scored and trained";
+        Counter mispredicts, "session_mispredicts_total", "Mispredicted records";
+        Counter low_confidence, "session_low_confidence_total",
+            "Low-confidence records (key below the session threshold)";
+        Histogram batch_records, "session_batch_records", "Records per BATCH frame";
+        Histogram batch_service_us, "session_batch_service_us",
+            "Wall-clock time to score one BATCH in microseconds";
+    ];
+    /// Rev 1.2 on: resumption and shedding (1.2), the durable park tier
+    /// (1.3), and the event loop's recovery and background spill (1.4).
+    const REV_1_2 = [
+        Gauge sessions_live, "server_sessions_live",
+            "Sessions alive right now (attached or parked)";
+        Counter sessions_parked, "server_sessions_parked_total",
+            "Sessions parked after an unclean disconnect";
+        Counter sessions_resumed, "server_sessions_resumed_total",
+            "Sessions re-attached via RESUME";
+        Counter resume_attempts, "server_resume_attempts_total",
+            "RESUME frames received, successful or not";
+        Counter resume_failures, "server_resume_failures_total",
+            "RESUME frames that named no parked session";
+        Counter sessions_shed, "server_sessions_shed_total",
+            "HELLOs shed with BUSY at session capacity";
+        Counter park_evicted_ttl, "server_park_evicted_ttl_total",
+            "Parked sessions evicted by the TTL sweep";
+        Counter park_evicted_capacity, "server_park_evicted_capacity_total",
+            "Parked sessions evicted to make room for newer ones";
+        Counter sessions_idle_evicted, "server_sessions_idle_evicted_total",
+            "Sessions closed by the idle timeout";
+        Counter park_spilled, "server_park_spilled_total",
+            "Parked sessions dropped from the hot tier with their disk copy kept";
+        Counter park_loaded, "server_park_loaded_total",
+            "Resumes served by decoding a disk checkpoint";
+        Counter park_store_full, "server_park_store_full_total",
+            "Parks refused because the disk tier was at capacity";
+        Gauge park_disk_records, "server_park_disk_records",
+            "Checkpoint records currently in the disk tier";
+        Gauge park_disk_bytes, "server_park_disk_bytes",
+            "Bytes of live checkpoint pages in the disk tier";
+        Gauge store_page_hits, "server_store_page_hits", "Store buffer-pool page hits";
+        Gauge store_page_misses, "server_store_page_misses",
+            "Store buffer-pool page misses (disk reads)";
+        Gauge store_recovery_ms, "server_store_recovery_ms",
+            "Wall-clock milliseconds of the startup park recovery scan";
+        Counter park_bg_spilled, "server_park_bg_spilled_total",
+            "Hot parked sessions written to disk by the background spiller";
+    ];
 }
 
 impl ServerMetrics {
@@ -165,6 +221,23 @@ impl ServerMetrics {
     /// Whole seconds since this server started.
     pub fn uptime_seconds(&self) -> u64 {
         self.started.elapsed().as_secs()
+    }
+
+    /// Accounts one scored `BATCH`: its records, mispredictions and
+    /// low-confidence records, and the time scoring it took.
+    pub fn record_batch(
+        &self,
+        records: u64,
+        mispredicts: u64,
+        low_confidence: u64,
+        service_us: u64,
+    ) {
+        self.batches.inc();
+        self.records.add(records);
+        self.mispredicts.add(mispredicts);
+        self.low_confidence.add(low_confidence);
+        self.batch_records.record(records);
+        self.batch_service_us.record(service_us);
     }
 
     /// Counts one protocol violation under its `ERROR`-frame code (use
@@ -192,180 +265,38 @@ impl ServerMetrics {
         }
     }
 
-    /// All counters as stable `(name, value)` pairs — the `STATS_REPLY`
-    /// payload.
+    /// All counters and gauges as stable `(name, value)` pairs — the
+    /// `STATS_REPLY` payload.
     ///
-    /// Protocol rev 1.1 appends names (`uptime_seconds` and the
-    /// `protocol_errors_*` breakdown) after the original thirteen; the
-    /// pair encoding is self-describing, so rev 1.0 clients that look up
-    /// the names they know keep working unchanged.
+    /// Protocol rev 1.1 appended names (`uptime_seconds` and the
+    /// `protocol_errors_*` breakdown) after the original thirteen, and
+    /// later revisions after those; the pair encoding is
+    /// self-describing, so clients that look up the names they know keep
+    /// working unchanged.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out = vec![
-            ("connections_total".into(), self.connections_total.get()),
-            (
-                "connections_active".into(),
-                self.connections_active.get().max(0) as u64,
-            ),
-            ("sessions_opened".into(), self.sessions_opened.get()),
-            ("sessions_reset".into(), self.sessions_reset.get()),
-            ("frames_in".into(), self.frames_in.get()),
-            ("frames_out".into(), self.frames_out.get()),
-            ("bytes_in".into(), self.bytes_in.get()),
-            ("bytes_out".into(), self.bytes_out.get()),
-            ("batches".into(), self.batches.get()),
-            ("records".into(), self.records.get()),
-            ("mispredicts".into(), self.mispredicts.get()),
-            ("low_confidence".into(), self.low_confidence.get()),
-            ("protocol_errors".into(), self.protocol_errors_total()),
-            // Rev 1.1 additions below this line.
-            ("uptime_seconds".into(), self.uptime_seconds()),
-        ];
+        let mut out = Vec::new();
+        push_stats(self, Self::REV_1_0, &mut out);
+        out.push(("protocol_errors".into(), self.protocol_errors_total()));
+        out.push(("uptime_seconds".into(), self.uptime_seconds()));
         for (i, c) in self.protocol_errors.iter().enumerate() {
             out.push((format!("protocol_errors_{}", error_slot_name(i)), c.get()));
         }
-        // Rev 1.2 additions below this line.
-        out.push((
-            "sessions_live".into(),
-            self.sessions_live.get().max(0) as u64,
-        ));
-        out.push(("sessions_parked".into(), self.sessions_parked.get()));
-        out.push(("sessions_resumed".into(), self.sessions_resumed.get()));
-        out.push(("resume_attempts".into(), self.resume_attempts.get()));
-        out.push(("resume_failures".into(), self.resume_failures.get()));
-        out.push(("sessions_shed".into(), self.sessions_shed.get()));
-        out.push(("park_evicted_ttl".into(), self.park_evicted_ttl.get()));
-        out.push((
-            "park_evicted_capacity".into(),
-            self.park_evicted_capacity.get(),
-        ));
-        out.push((
-            "sessions_idle_evicted".into(),
-            self.sessions_idle_evicted.get(),
-        ));
-        // Rev 1.3 additions below this line.
-        out.push(("park_spilled".into(), self.park_spilled.get()));
-        out.push(("park_loaded".into(), self.park_loaded.get()));
-        out.push(("park_store_full".into(), self.park_store_full.get()));
-        out.push((
-            "park_disk_records".into(),
-            self.park_disk_records.get().max(0) as u64,
-        ));
-        out.push((
-            "park_disk_bytes".into(),
-            self.park_disk_bytes.get().max(0) as u64,
-        ));
-        out.push((
-            "store_page_hits".into(),
-            self.store_page_hits.get().max(0) as u64,
-        ));
-        out.push((
-            "store_page_misses".into(),
-            self.store_page_misses.get().max(0) as u64,
-        ));
-        // Rev 1.4 additions below this line.
-        out.push((
-            "store_recovery_ms".into(),
-            self.store_recovery_ms.get().max(0) as u64,
-        ));
-        out.push(("park_bg_spilled".into(), self.park_bg_spilled.get()));
+        push_stats(self, Self::REV_1_2, &mut out);
         out
     }
 
     /// Registers every instrument on `reg` under `server_*`/`session_*`
-    /// names. Takes an [`Arc`] because the registry closures read the
+    /// names, plus build provenance and the flight recorder's event
+    /// counts. Takes an [`Arc`] because the registry closures read the
     /// metrics on every scrape.
     pub fn register(self: &Arc<Self>, reg: &Registry) {
-        // One clone per closure keeps each closure independent.
         let m = Arc::clone(self);
         reg.gauge(
             "server_uptime_seconds",
             "Whole seconds since the server started",
             move || m.uptime_seconds() as i64,
         );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_connections_total",
-            "Connections ever accepted",
-            move || m.connections_total.get(),
-        );
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_connections_active",
-            "Connections currently open",
-            move || m.connections_active.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_opened_total",
-            "Sessions successfully negotiated",
-            move || m.sessions_opened.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_reset_total",
-            "Session resets performed",
-            move || m.sessions_reset.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_frames_in_total",
-            "Frames read from clients",
-            move || m.frames_in.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_frames_out_total",
-            "Frames written to clients",
-            move || m.frames_out.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_bytes_in_total",
-            "Bytes of frame bodies read",
-            move || m.bytes_in.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_bytes_out_total",
-            "Bytes of frame bodies written",
-            move || m.bytes_out.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "session_batches_total",
-            "BATCH frames processed",
-            move || m.batches.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "session_records_total",
-            "Branch records scored and trained",
-            move || m.records.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "session_mispredicts_total",
-            "Mispredicted records",
-            move || m.mispredicts.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "session_low_confidence_total",
-            "Low-confidence records (key below the session threshold)",
-            move || m.low_confidence.get(),
-        );
-        let m = Arc::clone(self);
-        reg.histogram(
-            "session_batch_records",
-            "Records per BATCH frame",
-            move || m.batch_records.snapshot(),
-        );
-        let m = Arc::clone(self);
-        reg.histogram(
-            "session_batch_service_us",
-            "Wall-clock time to score one BATCH in microseconds",
-            move || m.batch_service_us.snapshot(),
-        );
+        register_table(self, Self::REV_1_0, reg, &[]);
         for slot in 0..ERROR_SLOTS {
             let m = Arc::clone(self);
             reg.counter_with(
@@ -375,117 +306,7 @@ impl ServerMetrics {
                 move || m.protocol_errors[slot].get(),
             );
         }
-        // Rev 1.2: session resumption, shedding, and park instruments.
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_sessions_live",
-            "Sessions alive right now (attached or parked)",
-            move || m.sessions_live.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_parked_total",
-            "Sessions parked after an unclean disconnect",
-            move || m.sessions_parked.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_resumed_total",
-            "Sessions re-attached via RESUME",
-            move || m.sessions_resumed.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_resume_attempts_total",
-            "RESUME frames received, successful or not",
-            move || m.resume_attempts.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_resume_failures_total",
-            "RESUME frames that named no parked session",
-            move || m.resume_failures.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_shed_total",
-            "HELLOs shed with BUSY at session capacity",
-            move || m.sessions_shed.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_evicted_ttl_total",
-            "Parked sessions evicted by the TTL sweep",
-            move || m.park_evicted_ttl.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_evicted_capacity_total",
-            "Parked sessions evicted to make room for newer ones",
-            move || m.park_evicted_capacity.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_sessions_idle_evicted_total",
-            "Sessions closed by the idle timeout",
-            move || m.sessions_idle_evicted.get(),
-        );
-        // Rev 1.3: durable park tier instruments.
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_spilled_total",
-            "Parked sessions dropped from the hot tier with their disk copy kept",
-            move || m.park_spilled.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_loaded_total",
-            "Resumes served by decoding a disk checkpoint",
-            move || m.park_loaded.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_store_full_total",
-            "Parks refused because the disk tier was at capacity",
-            move || m.park_store_full.get(),
-        );
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_park_disk_records",
-            "Checkpoint records currently in the disk tier",
-            move || m.park_disk_records.get(),
-        );
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_park_disk_bytes",
-            "Bytes of live checkpoint pages in the disk tier",
-            move || m.park_disk_bytes.get(),
-        );
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_store_page_hits",
-            "Store buffer-pool page hits",
-            move || m.store_page_hits.get(),
-        );
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_store_page_misses",
-            "Store buffer-pool page misses (disk reads)",
-            move || m.store_page_misses.get(),
-        );
-        // Rev 1.4: event-loop rearchitecture instruments.
-        let m = Arc::clone(self);
-        reg.gauge(
-            "server_store_recovery_ms",
-            "Wall-clock milliseconds of the startup park recovery scan",
-            move || m.store_recovery_ms.get(),
-        );
-        let m = Arc::clone(self);
-        reg.counter(
-            "server_park_bg_spilled_total",
-            "Hot parked sessions written to disk by the background spiller",
-            move || m.park_bg_spilled.get(),
-        );
+        register_table(self, Self::REV_1_2, reg, &[]);
         // Rev 1.5: build provenance and flight-recorder instruments.
         let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
             .map(|s| s.trim().to_owned())
@@ -513,66 +334,31 @@ impl ServerMetrics {
     }
 }
 
-/// One event-loop shard's instruments (rev 1.4). Each shard owns one
-/// block, updated lock-free from its own thread; the registry exposes
-/// them as labeled series (`shard="N"`) under per-family names.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Connections currently registered on this shard.
-    pub connections: Gauge,
-    /// `epoll_wait` returns that delivered at least one event or wake.
-    pub wakeups: Counter,
-    /// Parsed frames queued across this shard's connections, waiting
-    /// for the pump (ready-queue depth).
-    pub ready_depth: Gauge,
-    /// Bytes sitting in this shard's per-connection parse buffers.
-    pub parse_buffer_bytes: Gauge,
-    /// Connections handed off to another shard for session affinity.
-    pub migrations_out: Counter,
+metrics_block! {
+    /// One event-loop shard's instruments (rev 1.4). Each shard owns one
+    /// block, updated lock-free from its own thread; the registry exposes
+    /// them as labeled series (`shard="N"`) under per-family names.
+    pub struct ShardMetrics {}
+    /// Every shard instrument; none is in `STATS`.
+    const ALL = [
+        Gauge connections, "serve_shard_connections",
+            "Connections currently registered on this shard";
+        Counter wakeups, "serve_shard_wakeups_total",
+            "epoll_wait returns that delivered events on this shard";
+        Gauge ready_depth, "serve_shard_ready_depth",
+            "Parsed frames queued on this shard awaiting the pump";
+        Gauge parse_buffer_bytes, "serve_shard_parse_buffer_bytes",
+            "Bytes buffered in this shard's per-connection parse buffers";
+        Counter migrations_out, "serve_shard_migrations_out_total",
+            "Connections handed off to another shard for session affinity";
+    ];
 }
 
-/// Registers every shard's instruments on `reg` as `shard`-labeled
-/// series: connections, epoll wakeups, ready-queue depth, and
-/// parse-buffer bytes per shard.
-pub fn register_shards(shards: &Arc<Vec<ShardMetrics>>, reg: &Registry) {
-    for i in 0..shards.len() {
-        let label = i.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &label)];
-        let s = Arc::clone(shards);
-        reg.gauge_with(
-            "serve_shard_connections",
-            "Connections currently registered on this shard",
-            labels,
-            move || s[i].connections.get(),
-        );
-        let s = Arc::clone(shards);
-        reg.counter_with(
-            "serve_shard_wakeups_total",
-            "epoll_wait returns that delivered events on this shard",
-            labels,
-            move || s[i].wakeups.get(),
-        );
-        let s = Arc::clone(shards);
-        reg.gauge_with(
-            "serve_shard_ready_depth",
-            "Parsed frames queued on this shard awaiting the pump",
-            labels,
-            move || s[i].ready_depth.get(),
-        );
-        let s = Arc::clone(shards);
-        reg.gauge_with(
-            "serve_shard_parse_buffer_bytes",
-            "Bytes buffered in this shard's per-connection parse buffers",
-            labels,
-            move || s[i].parse_buffer_bytes.get(),
-        );
-        let s = Arc::clone(shards);
-        reg.counter_with(
-            "serve_shard_migrations_out_total",
-            "Connections handed off to another shard for session affinity",
-            labels,
-            move || s[i].migrations_out.get(),
-        );
+/// Registers every shard's instruments on `reg`, shard `i`'s series
+/// labeled `shard="i"`.
+pub fn register_shards(shards: &[Arc<ShardMetrics>], reg: &Registry) {
+    for (i, shard) in shards.iter().enumerate() {
+        register_table(shard, ShardMetrics::ALL, reg, &[("shard", &i.to_string())]);
     }
 }
 
@@ -627,15 +413,16 @@ mod tests {
     #[test]
     fn registry_covers_all_families() {
         let m = Arc::new(ServerMetrics::new());
-        m.batches.inc();
-        m.batch_records.record(1024);
-        m.batch_service_us.record(250);
+        m.record_batch(1024, 30, 200, 250);
         m.protocol_error(code::OVERSIZED);
         let reg = Registry::new("cira");
         m.register(&reg);
         let text = reg.render();
         let doc = cira_obs::promtext::Exposition::parse_validated(&text).unwrap();
         assert_eq!(doc.value("cira_session_batches_total"), Some(1.0));
+        assert_eq!(doc.value("cira_session_records_total"), Some(1024.0));
+        assert_eq!(doc.value("cira_session_mispredicts_total"), Some(30.0));
+        assert_eq!(doc.value("cira_session_low_confidence_total"), Some(200.0));
         assert_eq!(
             doc.histogram("cira_session_batch_records").unwrap().count,
             1
@@ -738,7 +525,7 @@ mod tests {
 
     #[test]
     fn shard_metrics_expose_labeled_series() {
-        let shards = Arc::new(vec![ShardMetrics::default(), ShardMetrics::default()]);
+        let shards: Vec<Arc<ShardMetrics>> = vec![Arc::default(), Arc::default()];
         shards[0].connections.add(3);
         shards[0].wakeups.add(7);
         shards[1].ready_depth.set(2);

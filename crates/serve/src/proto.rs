@@ -14,20 +14,16 @@
 //! | 0x04 | c → s | `SNAPSHOT` | — |
 //! | 0x05 | c → s | `RESET` | — |
 //! | 0x06 | c → s | `GOODBYE` | — |
-//! | 0x07 | c → s | `METRICS` | — (rev 1.1) |
 //! | 0x08 | c → s | `RESUME` | magic `CIRS`, version `u8`, resume token `u64` (rev 1.2) |
 //! | 0x09 | c → s | `PARK` | — (rev 1.3) |
-//! | 0x0a | c → s | `TRACE_DUMP` | — (rev 1.5) |
 //! | 0x81 | s → c | `HELLO_ACK` | version `u8`, session id `u64`, max frame `u32`, max in-flight `u32`, predictor/mechanism descriptions, resume token `u64` (rev 1.2) |
 //! | 0x82 | s → c | `BATCH_ACK` | seq `u32`, batch records/mispredicts/low `u64`×3, session records `u64`, predicted + low bitmaps |
 //! | 0x83 | s → c | `STATS_REPLY` | `u32` count, then (name string, value `u64`) pairs |
 //! | 0x84 | s → c | `SNAPSHOT_REPLY` | branches/mispredicts/low `u64`×3, `u32` cell count, then (key `u64`, refs `f64`, mispredicts `f64`) sorted by key |
 //! | 0x85 | s → c | `RESET_ACK` | — |
 //! | 0x86 | s → c | `GOODBYE_ACK` | — |
-//! | 0x87 | s → c | `METRICS_REPLY` | `u32` length + Prometheus exposition text (rev 1.1) |
 //! | 0x88 | s → c | `RESUME_ACK` | session `u64`, has-last `u8`, last acked seq `u32`, session batches/records/mispredicts/low `u64`×4, max frame `u32`, max in-flight `u32` (rev 1.2) |
 //! | 0x89 | s → c | `PARKED_ACK` | resume token `u64` (rev 1.3) |
-//! | 0x8a | s → c | `TRACE_DUMP_REPLY` | `u32` length + Chrome trace-event JSON (rev 1.5) |
 //! | 0x7e | s → c | `BUSY` | retry-after hint `u32` (ms), message string (rev 1.2) |
 //! | 0x7d | s → c | `STORE_FULL` | retry-after hint `u32` (ms), message string (rev 1.3) |
 //! | 0x7f | s → c | `ERROR` | code `u16`, message string |
@@ -41,21 +37,18 @@
 //!
 //! # Minor revisions
 //!
-//! [`PROTO_REV`] tracks additive changes within major version 1; it is
+//! [`PROTO_REV`] tracks changes within major version 1; it is
 //! informational and never negotiated. Rev **1.1** adds:
 //!
-//! * the `METRICS` / `METRICS_REPLY` frame pair (Prometheus text over the
-//!   wire; the payload is a `u32`-length blob because exposition text
-//!   routinely exceeds the [`MAX_STRING`] cap on spec strings);
-//! * `STATS` / `METRICS` / `GOODBYE` accepted **before** a session is
-//!   negotiated, so operator tooling (`cira stats`) needs no `HELLO`;
+//! * the `METRICS` / `METRICS_REPLY` frame pair, 0x07 / 0x87 (Prometheus
+//!   text over the wire; retired in rev 1.6);
+//! * `STATS` / `GOODBYE` accepted **before** a session is negotiated, so
+//!   a client can read the counters without a `HELLO`;
 //! * additional `STATS_REPLY` names (`uptime_seconds`, the
 //!   `protocol_errors_*` breakdown) appended after the original thirteen.
 //!
-//! All three are tolerate-unknown-by-construction for rev 1.0 peers:
-//! `STATS_REPLY` pairs are self-describing, and a 1.0 *client* simply
-//! never sends the new frame type. A 1.0 *server* answers `METRICS` with
-//! an `ERROR` (unknown frame type), which 1.1 clients surface as-is.
+//! `STATS_REPLY` pairs are self-describing, so rev 1.0 clients that look
+//! up the names they know keep working.
 //!
 //! Rev **1.2** adds session resumption and load shedding:
 //!
@@ -101,19 +94,19 @@
 //!
 //! Rev **1.4** (the thread-per-core event loop) changes no frame
 //! encodings; it only appends `STATS_REPLY` names (`store_recovery_ms`,
-//! `park_bg_spilled`, per-shard instruments), which the self-describing
-//! pair format absorbs.
+//! `park_bg_spilled`), which the self-describing pair format absorbs.
 //!
-//! Rev **1.5** adds flight-recorder export:
+//! Rev **1.5** adds the `TRACE_DUMP` / `TRACE_DUMP_REPLY` frame pair,
+//! 0x0a / 0x8a: the flight recorder's Chrome trace-event JSON over the
+//! wire (retired in rev 1.6).
 //!
-//! * `TRACE_DUMP` (0x0a): ask the server for its retained trace events.
-//!   Accepted before a session is negotiated, like `STATS`/`METRICS`, so
-//!   `cira trace dump` needs no `HELLO`. The server answers
-//!   `TRACE_DUMP_REPLY` (0x8a) carrying Chrome trace-event JSON as a
-//!   `u32`-length blob (the same shape as `METRICS_REPLY`, and for the
-//!   same reason: dumps routinely exceed [`MAX_STRING`]). With tracing
-//!   disabled or uninitialized the reply is still well-formed JSON with
-//!   an empty event list.
+//! Rev **1.6** retires the type bytes 0x07, 0x87, 0x0a and 0x8a. Their
+//! frames sent the exposition text and the trace dump that the server's
+//! HTTP listener (`--metrics-port`) serves as `GET /metrics` and
+//! `GET /trace`, which is now their only network path. A client that
+//! still sends 0x07 or 0x0a gets `ERROR` [`code::MALFORMED`] and is
+//! disconnected, as for any unknown type; both decoders report all four
+//! bytes as [`ProtoError::UnknownFrameType`].
 
 use std::fmt;
 
@@ -124,9 +117,9 @@ use cira_trace::codec::{PackedBytesError, PackedTrace};
 pub const PROTO_MAGIC: &[u8; 4] = b"CIRS";
 /// The protocol version this build speaks (negotiated in `HELLO`).
 pub const PROTO_VERSION: u8 = 1;
-/// Additive minor revision within [`PROTO_VERSION`] (see the module docs
-/// for what each revision added). Informational — never negotiated.
-pub const PROTO_REV: u8 = 5;
+/// Minor revision within [`PROTO_VERSION`] (see the module docs for what
+/// each revision changed). Informational — never negotiated.
+pub const PROTO_REV: u8 = 6;
 
 /// Frame type bytes.
 pub mod frame_type {
@@ -142,15 +135,11 @@ pub mod frame_type {
     pub const RESET: u8 = 0x05;
     /// Orderly close: the server acks then the connection ends.
     pub const GOODBYE: u8 = 0x06;
-    /// Request a Prometheus text exposition of all metrics (rev 1.1).
-    pub const METRICS: u8 = 0x07;
     /// Re-attach to a parked session by resume token (rev 1.2).
     pub const RESUME: u8 = 0x08;
     /// Detach now: checkpoint the session durably and park it
     /// (rev 1.3).
     pub const PARK: u8 = 0x09;
-    /// Request the flight recorder's retained trace events (rev 1.5).
-    pub const TRACE_DUMP: u8 = 0x0a;
     /// Server accepts the hello.
     pub const HELLO_ACK: u8 = 0x81;
     /// Per-batch results.
@@ -163,14 +152,10 @@ pub mod frame_type {
     pub const RESET_ACK: u8 = 0x85;
     /// Goodbye acknowledged.
     pub const GOODBYE_ACK: u8 = 0x86;
-    /// Prometheus text exposition of all metrics (rev 1.1).
-    pub const METRICS_REPLY: u8 = 0x87;
     /// Resume accepted: last acked seq + session totals (rev 1.2).
     pub const RESUME_ACK: u8 = 0x88;
     /// Park accepted: the session checkpoint is durable (rev 1.3).
     pub const PARKED_ACK: u8 = 0x89;
-    /// Chrome trace-event JSON from the flight recorder (rev 1.5).
-    pub const TRACE_DUMP_REPLY: u8 = 0x8a;
     /// Server at capacity: shed with a retry-after hint (rev 1.2).
     pub const BUSY: u8 = 0x7e;
     /// Disk park tier at capacity: a park could not be persisted; retry
@@ -256,8 +241,6 @@ pub enum ClientFrame {
     Reset,
     /// Orderly close.
     Goodbye,
-    /// Request a Prometheus text exposition of all metrics (rev 1.1).
-    Metrics,
     /// Re-attach to a parked session (rev 1.2). Sent *instead of*
     /// `Hello` as the first frame on a fresh connection.
     Resume {
@@ -271,9 +254,6 @@ pub enum ClientFrame {
     /// `STORE_FULL` (session stays attached) when the disk tier is at
     /// capacity.
     Park,
-    /// Request the flight recorder's retained trace events (rev 1.5).
-    /// Accepted before a session is negotiated, like `Stats`/`Metrics`.
-    TraceDump,
 }
 
 /// One `(key, refs, mispredicts)` statistics cell on the wire.
@@ -334,13 +314,6 @@ pub enum ServerFrame {
     ResetAck,
     /// Goodbye acknowledged; connection closes next.
     GoodbyeAck,
-    /// Prometheus text exposition of server, session, and pool metrics
-    /// (rev 1.1). Carried as a `u32`-length blob, not a spec string:
-    /// exposition text routinely exceeds [`MAX_STRING`].
-    MetricsReply {
-        /// The exposition text, as served on `GET /metrics`.
-        text: String,
-    },
     /// Resume accepted: the client reconciles against these totals and
     /// retransmits every batch newer than `last_seq` (rev 1.2).
     ResumeAck {
@@ -368,13 +341,6 @@ pub enum ServerFrame {
     ParkedAck {
         /// The resume token that re-attaches to the parked session.
         token: u64,
-    },
-    /// The flight recorder's retained events (rev 1.5). Carried as a
-    /// `u32`-length blob like [`ServerFrame::MetricsReply`]: dumps
-    /// routinely exceed [`MAX_STRING`].
-    TraceDumpReply {
-        /// Chrome trace-event JSON, as served on `GET /trace`.
-        json: String,
     },
     /// Server at session capacity: the connection closes next and the
     /// client should back off for at least the hint (rev 1.2).
@@ -560,7 +526,6 @@ pub fn encode_client(frame: &ClientFrame) -> Vec<u8> {
         ClientFrame::Snapshot => out.push(frame_type::SNAPSHOT),
         ClientFrame::Reset => out.push(frame_type::RESET),
         ClientFrame::Goodbye => out.push(frame_type::GOODBYE),
-        ClientFrame::Metrics => out.push(frame_type::METRICS),
         ClientFrame::Resume { version, token } => {
             out.push(frame_type::RESUME);
             out.extend_from_slice(PROTO_MAGIC);
@@ -568,7 +533,6 @@ pub fn encode_client(frame: &ClientFrame) -> Vec<u8> {
             out.extend_from_slice(&token.to_le_bytes());
         }
         ClientFrame::Park => out.push(frame_type::PARK),
-        ClientFrame::TraceDump => out.push(frame_type::TRACE_DUMP),
     }
     out
 }
@@ -621,10 +585,6 @@ pub fn decode_client(body: &[u8]) -> Result<ClientFrame, ProtoError> {
             c.finish()?;
             Ok(ClientFrame::Goodbye)
         }
-        frame_type::METRICS => {
-            c.finish()?;
-            Ok(ClientFrame::Metrics)
-        }
         frame_type::RESUME => {
             let magic = c.take(4)?;
             if magic != PROTO_MAGIC {
@@ -640,10 +600,6 @@ pub fn decode_client(body: &[u8]) -> Result<ClientFrame, ProtoError> {
         frame_type::PARK => {
             c.finish()?;
             Ok(ClientFrame::Park)
-        }
-        frame_type::TRACE_DUMP => {
-            c.finish()?;
-            Ok(ClientFrame::TraceDump)
         }
         other => Err(ProtoError::UnknownFrameType(other)),
     }
@@ -716,12 +672,6 @@ pub fn encode_server(frame: &ServerFrame) -> Vec<u8> {
         }
         ServerFrame::ResetAck => out.push(frame_type::RESET_ACK),
         ServerFrame::GoodbyeAck => out.push(frame_type::GOODBYE_ACK),
-        ServerFrame::MetricsReply { text } => {
-            out.push(frame_type::METRICS_REPLY);
-            let bytes = text.as_bytes();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
-        }
         ServerFrame::ResumeAck {
             session,
             last_seq,
@@ -746,12 +696,6 @@ pub fn encode_server(frame: &ServerFrame) -> Vec<u8> {
         ServerFrame::ParkedAck { token } => {
             out.push(frame_type::PARKED_ACK);
             out.extend_from_slice(&token.to_le_bytes());
-        }
-        ServerFrame::TraceDumpReply { json } => {
-            out.push(frame_type::TRACE_DUMP_REPLY);
-            let bytes = json.as_bytes();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
         }
         ServerFrame::Busy {
             retry_after_ms,
@@ -848,14 +792,6 @@ pub fn decode_server(body: &[u8]) -> Result<ServerFrame, ProtoError> {
         }
         frame_type::RESET_ACK => ServerFrame::ResetAck,
         frame_type::GOODBYE_ACK => ServerFrame::GoodbyeAck,
-        frame_type::METRICS_REPLY => {
-            let n = c.u32()? as usize;
-            let raw = c.take(n)?;
-            let text = std::str::from_utf8(raw)
-                .map(str::to_owned)
-                .map_err(|_| ProtoError::BadString)?;
-            ServerFrame::MetricsReply { text }
-        }
         frame_type::RESUME_ACK => {
             let session = c.u64()?;
             let has_last = c.u8()? != 0;
@@ -872,14 +808,6 @@ pub fn decode_server(body: &[u8]) -> Result<ServerFrame, ProtoError> {
             }
         }
         frame_type::PARKED_ACK => ServerFrame::ParkedAck { token: c.u64()? },
-        frame_type::TRACE_DUMP_REPLY => {
-            let n = c.u32()? as usize;
-            let raw = c.take(n)?;
-            let json = std::str::from_utf8(raw)
-                .map(str::to_owned)
-                .map_err(|_| ProtoError::BadString)?;
-            ServerFrame::TraceDumpReply { json }
-        }
         frame_type::BUSY => ServerFrame::Busy {
             retry_after_ms: c.u32()?,
             message: c.string()?,
@@ -945,13 +873,11 @@ mod tests {
             ClientFrame::Snapshot,
             ClientFrame::Reset,
             ClientFrame::Goodbye,
-            ClientFrame::Metrics,
             ClientFrame::Resume {
                 version: PROTO_VERSION,
                 token: 0xfeed_face_cafe_f00d,
             },
             ClientFrame::Park,
-            ClientFrame::TraceDump,
         ];
         for f in frames {
             let bytes = encode_client(&f);
@@ -989,10 +915,6 @@ mod tests {
             },
             ServerFrame::ResetAck,
             ServerFrame::GoodbyeAck,
-            // Exposition text far beyond MAX_STRING must survive intact.
-            ServerFrame::MetricsReply {
-                text: "# TYPE cira_x counter\n".repeat(400),
-            },
             ServerFrame::ResumeAck {
                 session: 7,
                 last_seq: Some(41),
@@ -1015,10 +937,6 @@ mod tests {
             },
             ServerFrame::ParkedAck {
                 token: 0xfeed_face_cafe_f00d,
-            },
-            // Trace dumps share the u32-blob shape with METRICS_REPLY.
-            ServerFrame::TraceDumpReply {
-                json: format!("{{\"traceEvents\":[{}]}}", "{},".repeat(200) + "{}"),
             },
             ServerFrame::Busy {
                 retry_after_ms: 500,
@@ -1050,6 +968,14 @@ mod tests {
             decode_client(&[0x55, 1, 2, 3]),
             Err(ProtoError::UnknownFrameType(0x55))
         ));
+        // The type bytes rev 1.6 retired (METRICS, TRACE_DUMP and their
+        // replies) are unknown to both decoders, bare or with a payload.
+        for ty in [0x07, 0x0a, 0x87, 0x8a] {
+            for body in [vec![ty], vec![ty, 4, 0, 0, 0, b'{', b'}', b'\n', 0]] {
+                assert_eq!(decode_client(&body), Err(ProtoError::UnknownFrameType(ty)));
+                assert_eq!(decode_server(&body), Err(ProtoError::UnknownFrameType(ty)));
+            }
+        }
         // HELLO with the wrong magic.
         let mut hello = encode_client(&ClientFrame::Hello {
             version: 1,

@@ -157,12 +157,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Process-wide state every shard shares: metrics, the registry,
-/// session-id/token generation, and the park of detached sessions.
+/// Process-wide state every shard shares: metrics, session-id/token
+/// generation, and the park of detached sessions.
 #[derive(Debug)]
 struct Shared {
     metrics: Arc<ServerMetrics>,
-    registry: Arc<Registry>,
     session_ids: AtomicU64,
     /// Seed mixed into resume tokens so they are not guessable across
     /// server restarts.
@@ -479,7 +478,8 @@ struct Shard {
     next_conn: u64,
     /// Round-robin cursor for distributing accepted sockets.
     rr: usize,
-    smetrics: Arc<Vec<ShardMetrics>>,
+    /// This shard's own instruments.
+    smetrics: Arc<ShardMetrics>,
     shutdown: ShutdownToken,
     draining: bool,
 }
@@ -497,9 +497,9 @@ impl Shard {
         loop {
             let n = self.epoll.wait(&mut events, timeout_ms).unwrap_or(0);
             if n > 0 {
-                self.smetrics[self.index].wakeups.inc();
+                self.smetrics.wakeups.inc();
             }
-            self.smetrics[self.index].ready_depth.set(n as i64);
+            self.smetrics.ready_depth.set(n as i64);
             for ev in &events[..n] {
                 let (key, ready) = (ev.key(), ev.ready());
                 match key {
@@ -622,7 +622,7 @@ impl Shard {
             self.index as u16,
             0,
         );
-        self.smetrics[self.index].connections.inc();
+        self.smetrics.connections.inc();
         if self.draining {
             self.send(
                 &mut conn,
@@ -642,7 +642,7 @@ impl Shard {
         let id = self.next_id();
         conn.token = id;
         conn.interest = 0;
-        self.smetrics[self.index].connections.inc();
+        self.smetrics.connections.inc();
         if self.epoll.add(conn.fd, 0, id).is_err() {
             conn.closing = Some(Close::Abrupt);
             conn.io_dead = true;
@@ -756,8 +756,8 @@ impl Shard {
                     owner as u64,
                 );
             }
-            self.smetrics[self.index].connections.dec();
-            self.smetrics[self.index].migrations_out.inc();
+            self.smetrics.connections.dec();
+            self.smetrics.migrations_out.inc();
             cira_obs::debug!(
                 "resume migrating to owning shard",
                 from = self.index,
@@ -892,12 +892,7 @@ impl Shard {
                     ..
                 } = &ack
                 {
-                    metrics.batches.inc();
-                    metrics.records.add(n);
-                    metrics.mispredicts.add(*mispredicts);
-                    metrics.low_confidence.add(*low_confidence);
-                    metrics.batch_records.record(n);
-                    metrics.batch_service_us.record(service_us);
+                    metrics.record_batch(n, *mispredicts, *low_confidence, service_us);
                 }
                 acks.push(ack);
             }
@@ -1016,7 +1011,7 @@ impl Shard {
         }
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         metrics.connections_active.dec();
-        self.smetrics[self.index].connections.dec();
+        self.smetrics.connections.dec();
         cira_obs::debug!("connection closed");
     }
 
@@ -1306,30 +1301,10 @@ impl Shard {
                     }
                 }
             }
-            // Observability and close frames need no session (rev 1.1):
-            // operator tooling like `cira stats` connects, asks, disconnects.
+            // STATS and GOODBYE need no session (rev 1.1): a client can
+            // connect, read the counters, and disconnect.
             ClientFrame::Stats => {
                 self.send(conn, &ServerFrame::StatsReply(metrics.snapshot()));
-                Action::Continue
-            }
-            ClientFrame::Metrics => {
-                self.send(
-                    conn,
-                    &ServerFrame::MetricsReply {
-                        text: self.shared.registry.render(),
-                    },
-                );
-                Action::Continue
-            }
-            ClientFrame::TraceDump => {
-                // Well-formed JSON with an empty event list when tracing
-                // is off, so `cira trace dump` degrades gracefully.
-                self.send(
-                    conn,
-                    &ServerFrame::TraceDumpReply {
-                        json: trace::dump_chrome_json(None),
-                    },
-                );
                 Action::Continue
             }
             ClientFrame::Goodbye => {
@@ -1545,9 +1520,7 @@ impl Shard {
             }
             self.pump_and_dispose(id, conn);
         }
-        self.smetrics[self.index]
-            .parse_buffer_bytes
-            .set(parse_bytes);
+        self.smetrics.parse_buffer_bytes.set(parse_bytes);
     }
 }
 
@@ -1577,7 +1550,7 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// The registry behind `GET /metrics` and the `METRICS` frame (server
+    /// The registry behind `GET /metrics` (server
     /// counters, per-shard gauges, session histograms, the worker pool).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -1676,8 +1649,7 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
     let registry = Arc::new(Registry::new("cira"));
     metrics.register(&registry);
     pool.register_metrics(&registry);
-    let shard_metrics: Arc<Vec<ShardMetrics>> =
-        Arc::new((0..nshards).map(|_| ShardMetrics::default()).collect());
+    let shard_metrics: Vec<Arc<ShardMetrics>> = (0..nshards).map(|_| Arc::default()).collect();
     register_shards(&shard_metrics, &registry);
     let token_seed = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -1717,7 +1689,6 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
     }
     let shared = Arc::new(Shared {
         metrics: Arc::clone(&metrics),
-        registry: Arc::clone(&registry),
         session_ids: AtomicU64::new(1),
         token_seed,
         token_ids: AtomicU64::new(1),
@@ -1781,7 +1752,7 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
             conns: HashMap::new(),
             next_conn: FIRST_CONN_TOKEN,
             rr: 0,
-            smetrics: Arc::clone(&shard_metrics),
+            smetrics: Arc::clone(&shard_metrics[index]),
             shutdown: shutdown.clone(),
             draining: false,
         });

@@ -104,14 +104,12 @@ fn mid_batch_kill_body(shards: usize) {
     assert!(metric(&handle, "resume_attempts") >= 1);
 
     // The new instruments reach the Prometheus exposition too.
-    let mut raw = Client::connect_raw(&upstream).unwrap();
     let doc =
-        cira_serve::cira_obs::promtext::Exposition::parse_validated(&raw.metrics_text().unwrap())
+        cira_serve::cira_obs::promtext::Exposition::parse_validated(&handle.registry().render())
             .expect("well-formed exposition");
     assert!(doc.value("cira_server_sessions_resumed_total").unwrap() >= 1.0);
     assert!(doc.value("cira_server_sessions_parked_total").unwrap() >= 1.0);
     assert_eq!(doc.value("cira_server_sessions_shed_total"), Some(0.0));
-    raw.goodbye().unwrap();
 
     client.goodbye().expect("goodbye");
     proxy.shutdown_and_join();

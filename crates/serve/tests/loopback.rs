@@ -130,14 +130,14 @@ fn concurrent_sessions_body(shards: usize) {
     assert_eq!(batch_records.sum, 90_000);
     assert_eq!(batch_service.count, get("batches"));
 
-    // Rev 1.1: STATS and METRICS answer on a raw connection, no HELLO.
+    // Rev 1.1: STATS answers on a raw connection, no HELLO.
     let mut raw = Client::connect_raw(&addr).expect("raw connect");
     let wire = raw.stats().expect("pre-session STATS");
     let wget = |name: &str| wire.iter().find(|(n, _)| n == name).unwrap().1;
     assert_eq!(wget("sessions_opened"), 3);
     assert_eq!(wget("records"), 90_000);
     assert!(wire.iter().any(|(n, _)| n == "uptime_seconds"));
-    let text = raw.metrics_text().expect("pre-session METRICS");
+    let text = handle.registry().render();
     let doc = cira_serve::cira_obs::promtext::Exposition::parse_validated(&text)
         .expect("well-formed exposition");
     assert_eq!(doc.value("cira_server_sessions_opened_total"), Some(3.0));
@@ -190,6 +190,46 @@ fn error_code(frame: ServerFrame) -> u16 {
         ServerFrame::Error { code, .. } => code,
         other => panic!("expected ERROR, got {other:?}"),
     }
+}
+
+#[test]
+fn retired_metrics_and_trace_dump_frames_are_refused_as_unknown() {
+    for shards in SHARD_COUNTS {
+        retired_frames_body(shards);
+    }
+}
+
+fn retired_frames_body(shards: usize) {
+    let handle = start_server(shards);
+    let addr = handle.local_addr().to_string();
+    // Rev 1.6 retired METRICS (0x07) and TRACE_DUMP (0x0a): a client that
+    // still sends one gets MALFORMED and is disconnected, like any other
+    // unknown frame type.
+    for ty in [0x07u8, 0x0a] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write_frame(&mut stream, &[ty]).expect("write");
+        match read_frame(&mut stream, u32::MAX, 100).expect("read") {
+            ReadOutcome::Frame(body) => {
+                assert_eq!(error_code(decode_server(&body).unwrap()), code::MALFORMED)
+            }
+            other => panic!("no reply to type {ty:#04x}: {other:?}"),
+        }
+        match read_frame(&mut stream, u32::MAX, 100) {
+            Ok(ReadOutcome::Eof) | Err(_) => {}
+            other => panic!("connection stayed open after type {ty:#04x}: {other:?}"),
+        }
+    }
+    assert_eq!(handle.metrics().protocol_errors_for(code::MALFORMED), 2);
+
+    // The server serves everyone else: a HELLO on a new connection streams.
+    let trace = bench_trace(0, 5_000);
+    let mut client = Client::connect(&addr, HelloConfig::default()).expect("connect");
+    assert_eq!(client.stream(&trace, 1000).expect("stream").records, 5_000);
+    client.goodbye().expect("goodbye");
+    handle.shutdown_and_join();
 }
 
 #[test]

@@ -6,9 +6,13 @@
 //! write queue/flush — plus a park spill, a park load, and a cross-shard
 //! resume migration.
 
+use std::net::SocketAddr;
+use std::time::Duration;
+
 use cira_analysis::engine::pool::WorkerPool;
 use cira_analysis::engine::replay::StreamingReplay;
 use cira_analysis::spec;
+use cira_serve::cira_obs::http;
 use cira_serve::server::{serve, ServerConfig};
 use cira_serve::{Client, HelloConfig};
 use cira_trace::codec::PackedTrace;
@@ -35,11 +39,10 @@ fn local_reference(config: &HelloConfig, trace: &PackedTrace) -> (u64, cira_anal
     (replay.run().mispredicts, replay.stats())
 }
 
-/// Pulls the server's Chrome trace JSON over a raw CIRS connection.
-fn dump(addr: &str) -> String {
-    let mut raw = Client::connect_raw(addr).expect("raw connect");
-    let json = raw.trace_json().expect("TRACE_DUMP");
-    raw.goodbye().expect("raw goodbye");
+/// Pulls the server's Chrome trace JSON from its metrics listener.
+fn dump(http_addr: SocketAddr) -> String {
+    let (status, json) = http::get(http_addr, "/trace", Duration::from_secs(10)).expect("GET");
+    assert!(status.contains("200"), "status: {status}");
     json
 }
 
@@ -49,10 +52,12 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
         shards: 2,
         trace: true,
         trace_capacity: 1 << 14,
+        metrics_addr: Some("127.0.0.1:0".into()),
         ..ServerConfig::default()
     };
     let handle = serve("127.0.0.1:0", cfg, WorkerPool::global()).expect("bind");
     let addr = handle.local_addr().to_string();
+    let http_addr = handle.metrics_http_addr().expect("metrics listener");
 
     let config = hello();
     let trace: PackedTrace = ibs_like_suite()[0].walker().take(30_000).collect();
@@ -76,7 +81,7 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     for _ in 0..24 {
         let mut resumed = Client::builder(&addr).resume(token).expect("resume");
         token = resumed.park().expect("re-park");
-        json = dump(&addr);
+        json = dump(http_addr);
         if json.contains("\"migrate\"") {
             break;
         }
