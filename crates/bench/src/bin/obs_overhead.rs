@@ -1,23 +1,26 @@
 //! Perf smoke test for the observability layer.
 //!
-//! The server's batch drain loop pays a fixed instrumentation toll per
-//! batch: one `Instant` pair around the scoring call, four relaxed counter
-//! adds, and two histogram records (`crates/serve/src/server.rs`,
-//! `drain`). This binary measures that toll directly: it streams the same
-//! trace through a [`StreamingReplay`] in server-sized batches twice —
-//! once bare, once adding exactly the drain loop's per-batch metric
-//! operations — and reports the throughput difference.
+//! The server's batch job pays a fixed instrumentation toll per batch:
+//! one `Instant` pair around the scoring call and
+//! [`ServerMetrics::record_batch`] (four relaxed counter adds and two
+//! histogram records). This binary measures that toll directly: it
+//! streams the same trace through a [`StreamingReplay`] in server-sized
+//! batches twice — once bare, once adding exactly the server's per-batch
+//! accounting, through the server's own method — and reports the
+//! difference.
 //!
-//! A third path adds the drain loop's flight-recorder calls (rev 1.5)
-//! with the recorder compiled in but left **disabled** — the
-//! configuration every untraced production server runs. Its only cost
-//! is one relaxed atomic load per span/instant, so it must clear the
-//! same bar as plain instrumentation.
+//! A third path adds the batch job's flight-recorder calls with the
+//! recorder compiled in but left **disabled** — the configuration every
+//! untraced production server runs. Its only cost is one relaxed atomic
+//! load per span/instant, so it must clear the same bar as plain
+//! instrumentation.
 //!
 //! All paths do identical scoring work (asserted bit-for-bit below).
-//! Reps are interleaved round-robin — bare, instrumented, traced, repeat
-//! — and each path keeps its best wall time, so a slow scheduling period
-//! penalises every path equally instead of whichever ran during it.
+//! One rep times each path once, in an order that rotates from rep to
+//! rep so no path always runs first. Each instrumented path's overhead
+//! is the median over all reps of its time divided by the bare path's
+//! time in the same rep: the paired ratio cancels slow periods that
+//! span a rep, and the median drops reps a scheduling hiccup hit.
 //! Results go to `BENCH_obs.json`. The acceptance bar is an overhead of
 //! at most 2% at the default 1M-branch trace length.
 
@@ -28,8 +31,8 @@ use cira_analysis::engine::replay::StreamingReplay;
 use cira_bench::{banner, trace_len};
 use cira_core::one_level::ResettingConfidence;
 use cira_core::{IndexSpec, InitPolicy};
-use cira_obs::{Counter, Histogram};
 use cira_predictor::Gshare;
+use cira_serve::metrics::ServerMetrics;
 use cira_trace::codec::PackedTrace;
 use cira_trace::suite::ibs_like_suite;
 
@@ -37,22 +40,9 @@ use cira_trace::suite::ibs_like_suite;
 const BATCH_LEN: usize = 4096;
 /// The server's default low-confidence threshold (`HelloConfig`).
 const THRESHOLD: u64 = 16;
-/// Timing repetitions per path; the minimum wall time wins. The whole
-/// bench stays under a couple of seconds at the default trace length,
-/// so generous repetition is cheap insurance against scheduler noise.
-const REPS: usize = 15;
-
-/// The instruments the drain loop touches per batch — same shapes as
-/// `ServerMetrics`, allocated fresh so a prior rep cannot warm them.
-#[derive(Default)]
-struct DrainMetrics {
-    batches: Counter,
-    records: Counter,
-    mispredicts: Counter,
-    low_confidence: Counter,
-    batch_records: Histogram,
-    batch_service_us: Histogram,
-}
+/// Timed reps; each times every path once. Odd, so the median is one
+/// rep's ratio.
+const REPS: usize = 201;
 
 /// A fresh replayer with the server's default session configuration.
 fn replayer() -> StreamingReplay {
@@ -80,9 +70,9 @@ fn run_bare(batches: &[PackedTrace]) -> (u64, u64) {
     (mispredicts, low_total)
 }
 
-/// The same loop with the drain loop's per-batch metric operations added:
-/// an `Instant` pair, four counter adds, two histogram records.
-fn run_instrumented(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
+/// The same loop with the server's per-batch accounting added: an
+/// `Instant` pair and [`ServerMetrics::record_batch`].
+fn run_instrumented(batches: &[PackedTrace], m: &ServerMetrics) -> (u64, u64) {
     let mut replay = replayer();
     let (mut mispredicts, mut low_total) = (0u64, 0u64);
     for batch in batches {
@@ -91,12 +81,7 @@ fn run_instrumented(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
         let fed = replay.feed(batch);
         let service_us = t0.elapsed().as_micros() as u64;
         let low = fed.keys.iter().filter(|&&k| k < THRESHOLD).count() as u64;
-        m.batches.inc();
-        m.records.add(n);
-        m.mispredicts.add(fed.mispredicts);
-        m.low_confidence.add(low);
-        m.batch_records.record(n);
-        m.batch_service_us.record(service_us);
+        m.record_batch(n, fed.mispredicts, low, service_us);
         mispredicts += fed.mispredicts;
         low_total += black_box(low);
     }
@@ -109,7 +94,7 @@ fn run_instrumented(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
 /// recorder left disabled. `Span::begin`/`instant` bail on one relaxed
 /// load of the enable gate, so this is the cost a server with tracing
 /// compiled in but switched off pays.
-fn run_traced_disabled(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) {
+fn run_traced_disabled(batches: &[PackedTrace], m: &ServerMetrics) -> (u64, u64) {
     use cira_obs::trace::{self, Stage};
     assert!(!trace::enabled(), "this path measures the disabled gate");
     let mut replay = replayer();
@@ -124,31 +109,24 @@ fn run_traced_disabled(batches: &[PackedTrace], m: &DrainMetrics) -> (u64, u64) 
         let service_us = t0.elapsed().as_micros() as u64;
         let low = fed.keys.iter().filter(|&&k| k < THRESHOLD).count() as u64;
         trace::instant(Stage::Complete, i as u64, 0, 0, low);
-        m.batches.inc();
-        m.records.add(n);
-        m.mispredicts.add(fed.mispredicts);
-        m.low_confidence.add(low);
-        m.batch_records.record(n);
-        m.batch_service_us.record(service_us);
+        m.record_batch(n, fed.mispredicts, low, service_us);
         mispredicts += fed.mispredicts;
         low_total += black_box(low);
     }
     (mispredicts, low_total)
 }
 
-/// Times one invocation of `f`, folding it into the running best.
-fn timed<T>(best: &mut f64, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let value = f();
-    *best = best.min(t0.elapsed().as_secs_f64());
-    value
+/// The median of `xs` (odd length).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {
     let len = trace_len();
     banner(
         "Observability overhead",
-        "Bare batch replay vs replay + the server drain loop's metric operations",
+        "Bare batch replay vs replay + the server's per-batch accounting",
         len,
     );
 
@@ -162,41 +140,34 @@ fn main() {
         })
         .collect();
     println!(
-        "{} branches in {} batches of <= {BATCH_LEN}; best of {REPS} runs per path",
+        "{} branches in {} batches of <= {BATCH_LEN}; {REPS} reps, each path once per rep",
         trace.len(),
         batches.len()
     );
     println!();
 
-    let metrics = DrainMetrics::default();
-    let traced_metrics = DrainMetrics::default();
-    let (mut bare_secs, mut instr_secs, mut traced_secs) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let (mut bare_result, mut instr_result, mut traced_result) = ((0, 0), (0, 0), (0, 0));
-    for _ in 0..REPS {
-        bare_result = timed(&mut bare_secs, || run_bare(&batches));
-        instr_result = timed(&mut instr_secs, || run_instrumented(&batches, &metrics));
-        traced_result = timed(&mut traced_secs, || {
-            run_traced_disabled(&batches, &traced_metrics)
-        });
+    let metrics = ServerMetrics::new();
+    let traced_metrics = ServerMetrics::new();
+    // Wall seconds per rep, by path: bare, instrumented, traced (off).
+    let mut secs: [Vec<f64>; 3] = Default::default();
+    let mut results = [(0, 0); 3];
+    for rep in 0..REPS {
+        for k in 0..3 {
+            let path = (rep + k) % 3;
+            let t0 = Instant::now();
+            results[path] = match path {
+                0 => run_bare(&batches),
+                1 => run_instrumented(&batches, &metrics),
+                _ => run_traced_disabled(&batches, &traced_metrics),
+            };
+            secs[path].push(t0.elapsed().as_secs_f64());
+        }
     }
-    println!(
-        "bare:         {bare_secs:8.3}s  ({:.1}M branches/s)",
-        1e-6 * len as f64 / bare_secs
-    );
-    println!(
-        "instrumented: {instr_secs:8.3}s  ({:.1}M branches/s)",
-        1e-6 * len as f64 / instr_secs
-    );
-    println!(
-        "traced (off): {traced_secs:8.3}s  ({:.1}M branches/s)",
-        1e-6 * len as f64 / traced_secs
-    );
 
     // The comparison only counts if all paths did identical work, and the
     // disabled recorder must not have captured a single event.
-    assert_eq!(bare_result, instr_result, "paths must score identically");
-    assert_eq!(bare_result, traced_result, "paths must score identically");
+    assert_eq!(results[0], results[1], "paths must score identically");
+    assert_eq!(results[0], results[2], "paths must score identically");
     assert_eq!(metrics.records.get(), len * REPS as u64);
     assert_eq!(
         metrics.batch_service_us.snapshot().count,
@@ -204,14 +175,31 @@ fn main() {
     );
     assert_eq!(cira_obs::trace::stats().recorded, 0, "recorder stayed off");
 
-    let overhead_pct = 100.0 * (instr_secs - bare_secs) / bare_secs;
-    let trace_disabled_overhead_pct = 100.0 * (traced_secs - bare_secs) / bare_secs;
+    let overhead = |path: usize| {
+        let ratios = secs[path].iter().zip(&secs[0]).map(|(p, b)| p / b);
+        100.0 * (median(ratios.collect()) - 1.0)
+    };
+    let overhead_pct = overhead(1);
+    let trace_disabled_overhead_pct = overhead(2);
+    let [bare_secs, instr_secs, traced_secs] = secs.map(median);
+    println!(
+        "bare:         {bare_secs:8.4}s  ({:.1}M branches/s, median rep)",
+        1e-6 * len as f64 / bare_secs
+    );
+    println!(
+        "instrumented: {instr_secs:8.4}s  ({:.1}M branches/s, median rep)",
+        1e-6 * len as f64 / instr_secs
+    );
+    println!(
+        "traced (off): {traced_secs:8.4}s  ({:.1}M branches/s, median rep)",
+        1e-6 * len as f64 / traced_secs
+    );
     println!();
-    println!("overhead: {overhead_pct:+.2}%  (acceptance bar: <= 2%)");
+    println!("overhead: {overhead_pct:+.2}%  (median per-rep ratio; acceptance bar: <= 2%)");
     println!("overhead with disabled tracing: {trace_disabled_overhead_pct:+.2}%  (same bar)");
 
     let json = format!(
-        "{{\n  \"trace_len\": {},\n  \"batch_len\": {BATCH_LEN},\n  \"batches\": {},\n  \"reps\": {REPS},\n  \"bare\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"instrumented\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"traced_disabled\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"overhead_pct\": {:.3},\n  \"trace_disabled_overhead_pct\": {:.3},\n  \"identical_results\": true\n}}\n",
+        "{{\n  \"trace_len\": {},\n  \"batch_len\": {BATCH_LEN},\n  \"batches\": {},\n  \"reps\": {REPS},\n  \"method\": \"median over reps of each path's time over the bare path's in the same rep\",\n  \"bare\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"instrumented\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"traced_disabled\": {{\"wall_seconds\": {:.4}, \"branches_per_sec\": {:.0}}},\n  \"overhead_pct\": {:.3},\n  \"trace_disabled_overhead_pct\": {:.3},\n  \"identical_results\": true\n}}\n",
         len,
         batches.len(),
         bare_secs,
