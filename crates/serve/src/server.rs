@@ -120,9 +120,9 @@ pub struct ServerConfig {
     /// unlimited. When exhausted, parks degrade (teardown parks stay
     /// hot-only) or are refused with `STORE_FULL` (explicit `PARK`).
     pub park_disk_capacity: u64,
-    /// Address for the HTTP `GET /metrics` listener (e.g.
-    /// `127.0.0.1:9184`), or `None` to expose metrics only over the wire
-    /// protocol.
+    /// Address for the HTTP listener that serves `GET /metrics` and
+    /// `GET /trace` (e.g. `127.0.0.1:9184`), or `None` for none: the
+    /// `STATS` frame then is the only network readout.
     pub metrics_addr: Option<String>,
     /// Event-loop shards (one epoll loop on one thread each). `0`
     /// resolves to `std::thread::available_parallelism()` at startup.
