@@ -312,9 +312,7 @@ mod tests {
         let mut b = BucketStats::new();
         for key in 0..5u64 {
             let refs = (0..1000u64).filter(|i| i % 5 == key).count() as u64;
-            let miss = (0..1000u64)
-                .filter(|i| i % 5 == key && i % 7 == 0)
-                .count() as u64;
+            let miss = (0..1000u64).filter(|i| i % 5 == key && i % 7 == 0).count() as u64;
             b.record_batch(key, refs, miss);
         }
         assert_eq!(a, b);

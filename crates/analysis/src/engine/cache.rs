@@ -60,11 +60,7 @@ impl TraceCache {
         // Materialize outside the lock; a concurrent duplicate walk is
         // wasted work but not an error (grid runs pre-materialize one
         // task per benchmark, so duplicates do not occur in practice).
-        cira_obs::debug!(
-            "materializing trace",
-            benchmark = k.name,
-            records = len
-        );
+        cira_obs::debug!("materializing trace", benchmark = k.name, records = len);
         let trace: PackedTrace = bench.walker().take(len as usize).collect();
         let trace = Arc::new(trace);
         let mut g = lock_clean(&self.entries);

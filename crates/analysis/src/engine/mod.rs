@@ -259,9 +259,8 @@ impl Engine {
                                 )
                             })
                             .collect();
-                        let combined = BucketStats::combine_equal_weight(
-                            per_benchmark.iter().map(|(_, s)| s),
-                        );
+                        let combined =
+                            BucketStats::combine_equal_weight(per_benchmark.iter().map(|(_, s)| s));
                         SuiteBuckets {
                             per_benchmark,
                             combined,
@@ -379,9 +378,7 @@ impl Engine {
     ) -> Vec<R> {
         let traces = self.materialize(suite, trace_len);
         self.pool
-            .scope_map(suite, |i, bench| {
-                self.timed_replay(|| f(bench, &traces[i]))
-            })
+            .scope_map(suite, |i, bench| self.timed_replay(|| f(bench, &traces[i])))
     }
 }
 

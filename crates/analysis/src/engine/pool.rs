@@ -253,9 +253,7 @@ impl WorkerPool {
         let jobs: Vec<Job> = (0..n)
             .map(|i| {
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || run_one(i));
-                unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job)
-                }
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) }
             })
             .collect();
         self.submit(jobs);
@@ -449,7 +447,9 @@ mod tests {
         let outer: Vec<u64> = (0..4).collect();
         let out = pool.scope_map(&outer, |_, &x| {
             let inner: Vec<u64> = (0..8).collect();
-            pool.scope_map(&inner, |_, &y| x * 100 + y).iter().sum::<u64>()
+            pool.scope_map(&inner, |_, &y| x * 100 + y)
+                .iter()
+                .sum::<u64>()
         });
         let expect: Vec<u64> = (0..4).map(|x| (0..8).map(|y| x * 100 + y).sum()).collect();
         assert_eq!(out, expect);

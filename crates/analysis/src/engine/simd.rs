@@ -65,7 +65,10 @@ pub fn fill_group_histories(h0: u64, taken_word: u64, mask: u64, hists: &mut [u6
 
 /// Expands one lane group of the taken bitmap into per-record bools.
 pub fn fill_group_takens(taken_word: u64, takens: &mut [bool]) {
-    assert!(takens.len() <= LANE_GROUP, "lane group is at most 64 records");
+    assert!(
+        takens.len() <= LANE_GROUP,
+        "lane group is at most 64 records"
+    );
     for (j, t) in takens.iter_mut().enumerate() {
         *t = taken_word >> j & 1 == 1;
     }
@@ -143,8 +146,7 @@ mod tests {
             for n in [0usize, 1, 2, 63, 64] {
                 let word = rng();
                 let mut hists = vec![0u64; n];
-                let after =
-                    fill_group_histories(reg.value(), word, reg.mask(), &mut hists);
+                let after = fill_group_histories(reg.value(), word, reg.mask(), &mut hists);
                 for (j, &h) in hists.iter().enumerate() {
                     assert_eq!(h, reg.value(), "lane {j} width {width} n {n}");
                     reg.push(word >> j & 1 == 1);
@@ -180,7 +182,14 @@ mod tests {
         while start < n {
             let c = 512.min(n - start);
             h = fill_chunk(
-                &trace, start, c, h, reg.mask(), &mut pcs, &mut hists, &mut takens,
+                &trace,
+                start,
+                c,
+                h,
+                reg.mask(),
+                &mut pcs,
+                &mut hists,
+                &mut takens,
             );
             for j in 0..c {
                 let r = trace.get(start + j).unwrap();

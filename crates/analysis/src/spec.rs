@@ -364,7 +364,9 @@ impl PredictorSpec {
                 min_len,
                 max_len,
                 tag_bits,
-            } => Box::new(TageScLite::new(base_bits, ncomp, min_len, max_len, tag_bits)),
+            } => Box::new(TageScLite::new(
+                base_bits, ncomp, min_len, max_len, tag_bits,
+            )),
             PredictorSpec::Taken => Box::new(StaticDirection::always_taken()),
             PredictorSpec::NotTaken => Box::new(StaticDirection::always_not_taken()),
         }
@@ -593,11 +595,7 @@ impl FromStr for MechanismSpec {
 impl MechanismSpec {
     /// Constructs the mechanism this spec describes over `index`/`init`
     /// (two-level variants carry their own indexing and ignore both).
-    pub fn build(
-        &self,
-        index: IndexSpec,
-        init: InitPolicy,
-    ) -> Box<dyn ConfidenceMechanism + Send> {
+    pub fn build(&self, index: IndexSpec, init: InitPolicy) -> Box<dyn ConfidenceMechanism + Send> {
         match *self {
             MechanismSpec::Cir(w) => Box::new(OneLevelCir::new(index, w, init)),
             MechanismSpec::OnesCount(w) => {
@@ -889,7 +887,9 @@ mod tests {
             "tage(10,4c,2..32,tag9)"
         );
         assert_eq!(
-            parse_predictor("tage-sc-lite:10:4:2:32:9").unwrap().describe(),
+            parse_predictor("tage-sc-lite:10:4:2:32:9")
+                .unwrap()
+                .describe(),
             "tage-sc-lite(10,4c,2..32,tag9)"
         );
     }

@@ -323,7 +323,10 @@ impl PackedTrace {
     /// The record at position `i`, if in range.
     pub fn get(&self, i: usize) -> Option<BranchRecord> {
         let &idx = self.site_idx.get(i)?;
-        Some(BranchRecord::new(self.site_pcs[idx as usize], self.taken_at(i)))
+        Some(BranchRecord::new(
+            self.site_pcs[idx as usize],
+            self.taken_at(i),
+        ))
     }
 
     /// The site-dictionary index of record `i` (for dense per-site
@@ -374,7 +377,10 @@ impl PackedTrace {
 
     /// Iterates the records in order.
     pub fn iter(&self) -> PackedTraceIter<'_> {
-        PackedTraceIter { trace: self, pos: 0 }
+        PackedTraceIter {
+            trace: self,
+            pos: 0,
+        }
     }
 
     /// Serializes the trace to the stable `CIRP` v1 byte layout
@@ -443,13 +449,15 @@ impl PackedTrace {
         }
         let n_sites = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         let n_records = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let n_records = usize::try_from(n_records)
-            .map_err(|_| PackedBytesError::LengthOverflow(n_records))?;
+        let n_records =
+            usize::try_from(n_records).map_err(|_| PackedBytesError::LengthOverflow(n_records))?;
         let n_words = n_records.div_ceil(64);
         let expect = 20usize
-            .checked_add(n_sites.checked_mul(8).ok_or(PackedBytesError::LengthOverflow(
-                n_sites as u64,
-            ))?)
+            .checked_add(
+                n_sites
+                    .checked_mul(8)
+                    .ok_or(PackedBytesError::LengthOverflow(n_sites as u64))?,
+            )
             .and_then(|v| v.checked_add(n_records.checked_mul(4)?))
             .and_then(|v| v.checked_add(n_words.checked_mul(8)?))
             .ok_or(PackedBytesError::LengthOverflow(n_records as u64))?;
@@ -560,8 +568,8 @@ impl FromIterator<BranchRecord> for PackedTrace {
         let mut map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         for r in it {
             let idx = *map.entry(r.pc).or_insert_with(|| {
-                let idx = u32::try_from(out.site_pcs.len())
-                    .expect("more than u32::MAX distinct sites");
+                let idx =
+                    u32::try_from(out.site_pcs.len()).expect("more than u32::MAX distinct sites");
                 out.site_pcs.push(r.pc);
                 idx
             });
@@ -806,7 +814,10 @@ mod tests {
         assert_eq!(&bytes[4..8], &[1, 0, 0, 0]);
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
         assert_eq!(u64::from_le_bytes(bytes[12..20].try_into().unwrap()), 3);
-        assert_eq!(u64::from_le_bytes(bytes[20..28].try_into().unwrap()), 0x4000);
+        assert_eq!(
+            u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+            0x4000
+        );
         assert_eq!(bytes.len(), 20 + 2 * 8 + 3 * 4 + 8);
         let back = PackedTrace::from_bytes(&bytes).unwrap();
         assert_eq!(back, packed);

@@ -19,11 +19,14 @@ fn mini_suite() -> Vec<Benchmark> {
 #[test]
 fn dynamic_confidence_beats_static_at_20_percent() {
     let suite = mini_suite();
-    let stat = Engine::global().run_suite_static(&suite, LEN, Gshare::paper_large).curve();
-    let dyn_ = Engine::global().run_suite_mechanism(&suite, LEN, Gshare::paper_large, || {
-        OneLevelCir::paper_default(IndexSpec::pc_xor_bhr(16))
-    })
-    .curve();
+    let stat = Engine::global()
+        .run_suite_static(&suite, LEN, Gshare::paper_large)
+        .curve();
+    let dyn_ = Engine::global()
+        .run_suite_mechanism(&suite, LEN, Gshare::paper_large, || {
+            OneLevelCir::paper_default(IndexSpec::pc_xor_bhr(16))
+        })
+        .curve();
     assert!(
         dyn_.coverage_at(20.0) > stat.coverage_at(20.0),
         "dynamic {:.1} should beat static {:.1} (paper Fig. 5)",
