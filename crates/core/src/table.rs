@@ -135,6 +135,16 @@ fn layout_tag(max: u32) -> u32 {
     }
 }
 
+/// The value every entry of a table in `0..=max` starts at under `init`,
+/// or `None` under `random:N`, the one policy whose value depends on the
+/// entry. A uniform table is built and flushed with one fill.
+fn uniform_initial<E: Entry>(init: InitPolicy, max: u32) -> Option<u32> {
+    match init {
+        InitPolicy::Random(_) => None,
+        _ => Some(E::initial(init, max, 0)),
+    }
+}
+
 /// The entries of `bytes`, each `W` bytes little-endian.
 fn decode<const W: usize>(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes.chunks_exact(W).map(|c| {
@@ -199,8 +209,12 @@ impl<E: Entry> Table<E> {
         );
         let len = 1usize << index_bits;
         cira_obs::debug!("confidence table allocated", entries = len, max = max);
+        let entries = match uniform_initial::<E>(init, max) {
+            Some(value) => vec![value; len],
+            None => (0..len).map(|i| E::initial(init, max, i)).collect(),
+        };
         Self {
-            entries: (0..len).map(|i| E::initial(init, max, i)).collect(),
+            entries,
             max,
             init,
             rule: PhantomData,
@@ -372,8 +386,13 @@ impl<E: Entry> Table<E> {
 
     /// Re-initializes every entry (models a context-switch flush).
     pub fn reinitialize(&mut self) {
-        for (i, e) in self.entries.iter_mut().enumerate() {
-            *e = E::initial(self.init, self.max, i);
+        match uniform_initial::<E>(self.init, self.max) {
+            Some(value) => self.entries.fill(value),
+            None => {
+                for (i, e) in self.entries.iter_mut().enumerate() {
+                    *e = E::initial(self.init, self.max, i);
+                }
+            }
         }
     }
 }
@@ -437,6 +456,33 @@ mod tests {
         ct.record(0, true);
         ct.reinitialize();
         assert_eq!(ct.get(0), 0b1000_0000);
+    }
+
+    #[test]
+    fn fills_match_the_per_entry_initial_values() {
+        fn check<E: Entry>(max: u32) {
+            for init in [
+                InitPolicy::AllOnes,
+                InitPolicy::AllZeros,
+                InitPolicy::LastBit,
+                InitPolicy::Random(7),
+            ] {
+                for bits in [1, 6, 16] {
+                    let label = format!("{} {init} 2^{bits}", E::label(max));
+                    let want: Vec<u32> = (0..1 << bits).map(|i| E::initial(init, max, i)).collect();
+                    let mut t = Table::<E>::with_max(bits, max, init);
+                    assert_eq!(t.entries(), want, "{label}: built");
+                    for i in 0..t.len() {
+                        t.record(i, i % 3 == 0);
+                    }
+                    t.reinitialize();
+                    assert_eq!(t.entries(), want, "{label}: reinitialized");
+                }
+            }
+        }
+        check::<CirEntry>(0xffff);
+        check::<Saturating>(16);
+        check::<Resetting>(16);
     }
 
     #[test]
