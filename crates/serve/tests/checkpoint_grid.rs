@@ -16,8 +16,9 @@
 //!    mechanism yields recorded digests of its keys and state blob, so a
 //!    session parked by an older build still resumes bit-identically.
 //! 5. **Old images resume** — CIRD version-1 images recorded by a build
-//!    that wrote every table entry as 4 bytes restore and continue
-//!    bit-identically to sessions that never parked.
+//!    that wrote every table entry as 4 bytes, and version-2 images
+//!    recorded by a build that checksummed them with byte-serial FNV-1a,
+//!    restore and continue bit-identically to sessions that never parked.
 //! 6. **Refused loads change nothing** — a state blob that fails any
 //!    check leaves the predictor or mechanism exactly as it was.
 
@@ -477,31 +478,41 @@ const V1_IMAGES: [&str; 8] = [
     "two-level:pcxorbhr-cirxorpcxorbhr",
 ];
 
-#[test]
-fn version_1_images_resume_bit_identically() {
+/// The mechanisms of the CIRD version-2 images in `tests/cird_v2/`,
+/// recorded like the version-1 images by the last build that wrote
+/// version 2 (narrow tables, FNV-1a trailer): one per one-level table
+/// layout.
+const V2_IMAGES: [&str; 5] = ["cir:8", "cir:16", "cir:32", "resetting:16", "saturating:16"];
+
+/// Decodes each `version` image in `tests/{dir}/`, requires it to equal
+/// today's checkpoint of the same state (with tables widened to 4-byte
+/// entries for version 1), and requires the resumed session to continue
+/// bit-identically to one that never parked.
+fn assert_images_resume(version: u32, dir: &str, mechanisms: &[&str]) {
     let trace = synth_trace(0xC1D1, 3_000);
     let head: PackedTrace = (0..1_800).map(|i| trace.get(i).unwrap()).collect();
     let tail: PackedTrace = (1_800..3_000).map(|i| trace.get(i).unwrap()).collect();
-    for mechanism in V1_IMAGES {
+    for &mechanism in mechanisms {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/cird_v1")
+            .join("tests")
+            .join(dir)
             .join(format!("{}.cird", mechanism.replace(':', "-")));
         let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(
             bytes[4..8],
-            1u32.to_le_bytes(),
-            "{mechanism}: a version-1 image"
+            version.to_le_bytes(),
+            "{mechanism}: a version-{version} image"
         );
         let parked = Checkpoint::decode(&bytes).unwrap_or_else(|e| panic!("{mechanism}: {e}"));
 
         let cfg = config("gshare:6:6", mechanism, "pcxorbhr:6", "ones");
         let mut never = Session::from_hello(&cfg, 0xA5A5).expect(mechanism);
         never.apply_batch(0, &head);
-        // The image is today's checkpoint of the same state with its
-        // tables widened to 4-byte entries.
-        let mut widened = never.to_checkpoint(0x51);
-        widened.mechanism_state = widen_state(mechanism, &widened.mechanism_state);
-        assert_eq!(parked, widened, "{mechanism}: the old build's image");
+        let mut today = never.to_checkpoint(0x51);
+        if version == 1 {
+            today.mechanism_state = widen_state(mechanism, &today.mechanism_state);
+        }
+        assert_eq!(parked, today, "{mechanism}: the old build's image");
 
         let mut resumed = Session::from_checkpoint(&parked, 0xA5A5).expect(mechanism);
         assert_eq!(
@@ -516,6 +527,16 @@ fn version_1_images_resume_bit_identically() {
         );
         assert_eq!(resumed.snapshot(), never.snapshot(), "{mechanism}");
     }
+}
+
+#[test]
+fn version_1_images_resume_bit_identically() {
+    assert_images_resume(1, "cird_v1", &V1_IMAGES);
+}
+
+#[test]
+fn version_2_images_resume_bit_identically() {
+    assert_images_resume(2, "cird_v2", &V2_IMAGES);
 }
 
 #[test]

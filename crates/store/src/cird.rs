@@ -12,11 +12,11 @@
 //! protocol and the `cira_predictor::state` hooks: everything
 //! little-endian and fixed-width, strings `u16`-length-prefixed, blobs
 //! `u32`-length-prefixed, the cell list `u32`-count-prefixed, and a
-//! trailing FNV-1a checksum over everything before it:
+//! trailing checksum over everything before it:
 //!
 //! ```text
 //! magic            u32   "CIRD" (LE: 0x44524943)
-//! version          u32   2 (1 is read too)
+//! version          u32   3 (1 and 2 are read too)
 //! session_id       u64
 //! threshold        u64
 //! last_seq         u8 flag + u32 (0 = none, value ignored)
@@ -32,7 +32,8 @@
 //! predictor_state  blob          (state_save output)
 //! mechanism_state  blob          (state_save output)
 //! cells            u32 count, then per cell: key u64, refs u64, miss u64
-//! checksum         u64   FNV-1a over all preceding bytes
+//! checksum         u64   over all preceding bytes: FNV-1a up to
+//!                        version 2, the word sum from version 3
 //! ```
 //!
 //! Cell refs/miss counts are the session's own integer counts. Sessions
@@ -56,15 +57,25 @@
 //! wrote every table with tag 0, so one reader takes both versions. A
 //! build that reads only version 1 refuses a version-2 image by its
 //! version field instead of misreading its tables.
+//!
+//! Version 3 changed only the trailer. Byte-serial FNV-1a waits on one
+//! multiply per byte; the version-3 word sum reads the image as
+//! little-endian `u64` words in four independent lanes (see `word_sum`).
+//! [`Checkpoint::decode`] reads magic and version before any trailer and
+//! checks the trailer that version wrote, so one reader takes versions 1
+//! to 3, and an image from a newer build is refused by its version.
 
-use crate::page::fnv64;
+use crate::page::{fnv64, FNV_OFFSET, FNV_PRIME};
 
 /// Magic number: `"CIRD"` read as a little-endian u32.
 pub const CIRD_MAGIC: u32 = u32::from_le_bytes(*b"CIRD");
 
 /// Current codec version. [`Checkpoint::decode`] reads this version and
-/// version 1.
-pub const CIRD_VERSION: u32 = 2;
+/// versions 1 and 2.
+pub const CIRD_VERSION: u32 = 3;
+
+/// The first version whose trailer is [`word_sum`] rather than FNV-1a.
+const WORD_SUM_VERSION: u32 = 3;
 
 /// Longest accepted spec string, mirroring the wire protocol's cap.
 const MAX_STRING: usize = 4096;
@@ -103,6 +114,49 @@ pub struct Checkpoint {
     /// Bucket cells as `(key, refs, mispredicts)`: ascending by key as
     /// sessions write them, any order in older images.
     pub cells: Vec<(u64, u64, u64)>,
+}
+
+/// One step of [`word_sum`]: FNV-1a's xor then multiply, and an
+/// xor-shift that carries the product's high half down into the bits the
+/// next multiply spreads. For a fixed `word` it is a bijection of `h`, and
+/// for a fixed `h` it is injective in `word`.
+#[inline]
+fn step(h: u64, word: u64) -> u64 {
+    let x = (h ^ word).wrapping_mul(FNV_PRIME);
+    x ^ (x >> 32)
+}
+
+/// The version-3 trailer over `bytes`. Word `i` of every 32-byte block
+/// feeds lane `i`, so the four lanes' multiplies overlap. The four lanes,
+/// the zero-padded words of the tail of fewer than 32 bytes, and the
+/// length then fold into one sum with the same step. Every step is a
+/// bijection of the running value, so a change to any one word always
+/// changes the sum.
+fn word_sum(bytes: &[u8]) -> u64 {
+    let mut blocks = bytes.chunks_exact(32);
+    let mut lanes = [FNV_OFFSET; 4];
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+    let mut h = lanes.into_iter().fold(FNV_OFFSET, step);
+    for tail in blocks.remainder().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(word));
+    }
+    step(h, bytes.len() as u64)
+}
+
+/// The trailer a version-`version` image carries over `body`, every byte
+/// before it.
+fn trailer(version: u32, body: &[u8]) -> u64 {
+    if version < WORD_SUM_VERSION {
+        fnv64(body)
+    } else {
+        word_sum(body)
+    }
 }
 
 /// # Panics
@@ -224,13 +278,14 @@ impl Checkpoint {
             out.extend_from_slice(&refs.to_le_bytes());
             out.extend_from_slice(&miss.to_le_bytes());
         }
-        let sum = fnv64(&out);
+        let sum = trailer(CIRD_VERSION, &out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
-    /// Decodes a `CIRD` byte image, verifying magic, version, checksum,
-    /// every length, and that no bytes trail the checksum.
+    /// Decodes a `CIRD` byte image, verifying magic and version, then the
+    /// checksum that version wrote, every length, and that no bytes trail
+    /// the checksum.
     ///
     /// # Errors
     ///
@@ -239,14 +294,7 @@ impl Checkpoint {
         if bytes.len() < 8 + 8 {
             return Err(format!("checkpoint is {} bytes, too short", bytes.len()));
         }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8"));
-        let computed = fnv64(body);
-        if stored != computed {
-            return Err(format!(
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ));
-        }
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
         let mut c = Cursor::new(body);
         let magic = c.u32()?;
         if magic != CIRD_MAGIC {
@@ -256,6 +304,13 @@ impl Checkpoint {
         if !(1..=CIRD_VERSION).contains(&version) {
             return Err(format!(
                 "checkpoint version {version}, this build reads 1 to {CIRD_VERSION}"
+            ));
+        }
+        let stored = u64::from_le_bytes(sum.try_into().expect("8"));
+        let computed = trailer(version, body);
+        if stored != computed {
+            return Err(format!(
+                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ));
         }
         let session_id = c.u64()?;
@@ -361,7 +416,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected() {
-        for bytes in [with_version(1), with_version(2)] {
+        for bytes in [with_version(1), with_version(2), with_version(3)] {
             for len in 0..bytes.len() {
                 assert!(
                     Checkpoint::decode(&bytes[..len]).is_err(),
@@ -374,7 +429,7 @@ mod tests {
 
     #[test]
     fn every_flipped_byte_is_rejected() {
-        for bytes in [with_version(1), with_version(2)] {
+        for bytes in [with_version(1), with_version(2), with_version(3)] {
             for at in 0..bytes.len() {
                 let mut bad = bytes.clone();
                 bad[at] ^= 0x01;
@@ -405,33 +460,79 @@ mod tests {
     }
 
     /// `sample()` encoded with `version` in the version field and the
-    /// checksum fixed up, so only the version check can refuse it.
+    /// trailer that version carries.
     fn with_version(version: u32) -> Vec<u8> {
         let mut bytes = sample().encode();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = crate::page::fnv64(&bytes[..body_len]);
+        let sum = trailer(version, &bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         bytes
     }
 
     #[test]
-    fn writes_version_2_and_reads_versions_1_and_2() {
-        assert_eq!(sample().encode()[4..8], 2u32.to_le_bytes());
-        for version in [1, 2] {
+    fn writes_version_3_and_reads_versions_1_to_3() {
+        let bytes = sample().encode();
+        assert_eq!(bytes, with_version(3));
+        assert_eq!(bytes[4..8], 3u32.to_le_bytes());
+        for version in [1, 2, 3] {
             assert_eq!(
                 Checkpoint::decode(&with_version(version)).unwrap(),
                 sample()
             );
+            // Each version's reader checks its own trailer, not the other.
+            let mut other = with_version(version);
+            let body_len = other.len() - 8;
+            let body = &other[..body_len];
+            let sum = if version < 3 {
+                word_sum(body)
+            } else {
+                fnv64(body)
+            };
+            other[body_len..].copy_from_slice(&sum.to_le_bytes());
+            let err = Checkpoint::decode(&other).unwrap_err();
+            assert!(err.contains("checksum"), "{version}: {err}");
         }
     }
 
     #[test]
     fn wrong_version_rejected() {
-        for version in [0, 3, 0x7f, u32::MAX] {
+        for version in [0, 4, 0x7f, u32::MAX] {
             let err = Checkpoint::decode(&with_version(version)).unwrap_err();
             assert!(err.contains("version"), "{version}: {err}");
         }
+    }
+
+    #[test]
+    fn a_newer_version_is_refused_by_its_version_not_its_trailer() {
+        // A newer build may checksum differently, so this build cannot
+        // check the trailer of a version it does not know.
+        let mut bytes = sample().encode();
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let err = Checkpoint::decode(&bytes).unwrap_err();
+        assert!(err.contains("checkpoint version 4"), "{err}");
+    }
+
+    #[test]
+    fn the_word_sum_is_pinned() {
+        // Version-3 images written by earlier builds must keep decoding:
+        // these sums cover whole blocks, short tails and the length fold.
+        let bytes: Vec<u8> = (0..100u8).map(|b| b.wrapping_mul(37)).collect();
+        let sums: Vec<u64> = [0, 1, 8, 31, 32, 33, 64, 100]
+            .iter()
+            .map(|&len| word_sum(&bytes[..len]))
+            .collect();
+        let pinned = [
+            0x0f42_c414_7dbb_93f2,
+            0xaa07_21d1_0fbb_4438,
+            0xe9d1_4535_42af_eb63,
+            0x0353_ad93_5b7c_5cc4,
+            0xf33c_9125_8df1_efb5,
+            0x440d_36d0_7068_1a2c,
+            0xa68f_4577_a96b_23c8,
+            0x94d9_29c3_5ad3_bcee,
+        ];
+        assert_eq!(sums, pinned, "{sums:#018x?}");
     }
 
     #[test]

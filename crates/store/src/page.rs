@@ -40,10 +40,11 @@ pub const KIND_HEAD: u8 = 1;
 /// Continuation page of a record chain.
 pub const KIND_DATA: u8 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash — the page and checkpoint checksum.
+/// FNV-1a 64-bit hash: the page and superblock checksum, and the
+/// checkpoint trailer of CIRD versions 1 and 2.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv_continue(FNV_OFFSET, bytes)
 }
