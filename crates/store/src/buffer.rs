@@ -324,7 +324,7 @@ mod tests {
         );
         bm.flush_all().unwrap();
         drop(bm);
-        let mut pf = PageFile::open(&path).unwrap();
+        let pf = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         pf.read_page(1, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0x33));
@@ -344,7 +344,7 @@ mod tests {
         .unwrap();
         bm.flush_all().unwrap();
         drop(bm);
-        let mut pf = PageFile::open(&path).unwrap();
+        let pf = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         pf.read_page(1, &mut buf).unwrap();
         assert_eq!(buf[7], 0x5a);

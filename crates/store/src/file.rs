@@ -16,9 +16,13 @@
 //! is trusted. The file grows by whole pages and never shrinks; space
 //! from deleted records is reused through the in-memory free list that
 //! [`crate::store::SessionStore`] rebuilds on open.
+//!
+//! Every page is read and written at its offset (`pread(2)` and
+//! `pwrite(2)`): one system call per page, and no shared file cursor.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt as _;
 use std::path::Path;
 
 use cira_obs::trace::{self, Stage};
@@ -51,7 +55,7 @@ impl PageFile {
     ///
     /// I/O failures creating or writing the file.
     pub fn create(path: &Path) -> io::Result<Self> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -63,7 +67,7 @@ impl PageFile {
         sb[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
         let sum = fnv64(&sb[..16]);
         sb[16..24].copy_from_slice(&sum.to_le_bytes());
-        file.write_all(&sb)?;
+        file.write_all_at(&sb, 0)?;
         file.sync_all()?;
         Ok(Self { file, pages: 1 })
     }
@@ -77,7 +81,7 @@ impl PageFile {
     /// version, page size, or checksum is wrong, or the file is
     /// truncated mid-page; plain I/O errors otherwise.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
         let invalid = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
         if len < PAGE_SIZE as u64 {
@@ -91,8 +95,7 @@ impl PageFile {
             )));
         }
         let mut sb = vec![0u8; PAGE_SIZE];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut sb)?;
+        file.read_exact_at(&mut sb, 0)?;
         if &sb[..8] != MAGIC {
             return Err(invalid("bad magic: not a cira-store page file".to_owned()));
         }
@@ -124,7 +127,10 @@ impl PageFile {
         self.pages
     }
 
-    /// Reads page `index` into `buf` (`PAGE_SIZE` bytes).
+    /// Reads page `index` into `buf` (`PAGE_SIZE` bytes) with one
+    /// positioned read. Because it takes `&self`, many threads can read
+    /// disjoint pages of one file at once, as the parallel open-time
+    /// recovery scan does.
     ///
     /// # Errors
     ///
@@ -134,39 +140,7 @@ impl PageFile {
     /// # Panics
     ///
     /// Panics if `buf` is not exactly one page.
-    pub fn read_page(&mut self, index: u64, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        if index >= self.pages {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("page {index} out of range ({} pages)", self.pages),
-            ));
-        }
-        let span = io_span(Stage::PageRead);
-        self.file.seek(SeekFrom::Start(index * PAGE_SIZE as u64))?;
-        let r = self.file.read_exact(buf);
-        if let Some(span) = span {
-            span.end_with(index);
-        }
-        r
-    }
-
-    /// Reads page `index` into `buf` through a positioned read
-    /// (`pread(2)`), leaving the shared file cursor untouched. Because
-    /// it takes `&self`, many threads can scan disjoint pages of one
-    /// file concurrently — this is what the parallel open-time recovery
-    /// scan fans out over.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] when `index` is out of range;
-    /// I/O failures otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is not exactly one page.
-    pub fn read_page_at(&self, index: u64, buf: &mut [u8]) -> io::Result<()> {
-        use std::os::unix::fs::FileExt as _;
+    pub fn read_page(&self, index: u64, buf: &mut [u8]) -> io::Result<()> {
         assert_eq!(buf.len(), PAGE_SIZE);
         if index >= self.pages {
             return Err(io::Error::new(
@@ -182,8 +156,9 @@ impl PageFile {
         r
     }
 
-    /// Writes page `index` from `buf` (`PAGE_SIZE` bytes). The page must
-    /// already exist — use [`PageFile::grow`] to extend the file.
+    /// Writes page `index` from `buf` (`PAGE_SIZE` bytes) with one
+    /// positioned write. The page must already exist — use
+    /// [`PageFile::grow`] to extend the file.
     ///
     /// # Errors
     ///
@@ -202,8 +177,7 @@ impl PageFile {
             ));
         }
         let span = io_span(Stage::PageWrite);
-        self.file.seek(SeekFrom::Start(index * PAGE_SIZE as u64))?;
-        let r = self.file.write_all(buf);
+        let r = self.file.write_all_at(buf, index * PAGE_SIZE as u64);
         if let Some(span) = span {
             span.end_with(index);
         }
@@ -268,7 +242,7 @@ mod tests {
         pf.sync().unwrap();
         drop(pf);
 
-        let mut pf = PageFile::open(&path).unwrap();
+        let pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.page_count(), 3);
         let mut back = vec![0u8; PAGE_SIZE];
         pf.read_page(1, &mut back).unwrap();
@@ -282,13 +256,12 @@ mod tests {
         let mut pf = PageFile::create(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         assert!(pf.read_page(1, &mut buf).is_err());
-        assert!(pf.read_page_at(1, &mut buf).is_err());
         assert!(pf.write_page(9, &buf).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn positioned_reads_match_cursor_reads_concurrently() {
+    fn reads_from_several_threads_see_the_written_pages() {
         let path = tmp("pread");
         let mut pf = PageFile::create(&path).unwrap();
         pf.grow(8).unwrap();
@@ -314,7 +287,7 @@ mod tests {
                     let mut buf = vec![0u8; PAGE_SIZE];
                     for i in 0..8u64 {
                         let idx = (i + t) % 8;
-                        pf.read_page_at(idx + 1, &mut buf).unwrap();
+                        pf.read_page(idx + 1, &mut buf).unwrap();
                         assert_eq!(buf, images[idx as usize]);
                     }
                 });

@@ -201,7 +201,7 @@ impl SessionStore {
             };
             let mut data = vec![0u8; PAGE_SIZE];
             for idx in range {
-                if let Err(e) = file.read_page_at(idx, &mut data) {
+                if let Err(e) = file.read_page(idx, &mut data) {
                     chunk.err = Some(e);
                     return chunk;
                 }
