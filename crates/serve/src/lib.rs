@@ -33,6 +33,10 @@
 //!   [`cira_analysis::engine::pool::WorkerPool`] with completions waking
 //!   the owning shard, backpressure, graceful drain, capacity shedding,
 //!   and session parking;
+//! * [`durability`] — the thread that runs the disk park tier's page-file
+//!   syncs, so a shard never blocks in `fsync`: `PARKED_ACK` and
+//!   `RESUMED` wait for a sync that covers their writes, and requests
+//!   that arrive during one sync share the next (group commit);
 //! * [`client`] — a blocking client with windowed batch pipelining,
 //!   configured via [`client::ClientBuilder`], that transparently
 //!   reconnects and resumes under a [`client::RetryPolicy`];
@@ -83,6 +87,7 @@ pub use cira_obs;
 
 pub mod chaos;
 pub mod client;
+pub mod durability;
 pub mod event;
 pub mod frame;
 pub mod metrics;

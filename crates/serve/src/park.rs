@@ -18,14 +18,22 @@
 //! How a session reaches disk depends on who parked it:
 //!
 //! * An explicit `PARK` frame ([`SessionPark::insert_durable`]) is
-//!   **write-through**: the checkpoint is synced before the call
-//!   returns, because `PARKED_ACK` is a durability receipt. Unchanged
-//!   since rev 1.3.
+//!   **write-through**: the checkpoint's pages are in the page file
+//!   before the call returns. `PARKED_ACK` is a durability receipt, so
+//!   the server holds it until a sync that began after those writes has
+//!   returned ([`ParkOutcome::wrote`]).
 //! * A teardown park ([`SessionPark::insert`] — connection died without
 //!   `GOODBYE`, idle eviction) is **lazy**: the session lands hot-only
 //!   and the *background spiller* ([`SessionPark::spill_step`], driven
 //!   from the shards' timer ticks) writes oldest-first batches through
-//!   later. Fsync cost leaves the teardown path entirely.
+//!   later.
+//!
+//! No method here syncs the page file except at startup recovery and
+//! shutdown: every write goes through the store's write halves, and the
+//! caller syncs through [`SessionPark::sync_handle`], off the park's
+//! lock. Each method reports whether it wrote, so the caller knows when
+//! a sync is owed. An entry's `durable` flag means "written"; the next
+//! sync makes it crash-safe.
 //!
 //! Lazy does not mean lossy: hot-tier eviction of a not-yet-spilled
 //! entry (capacity pressure) writes it through *at eviction* before the
@@ -51,7 +59,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
-use cira_store::{Checkpoint, SessionStore, StoreError};
+use cira_store::{Checkpoint, SessionStore, StoreError, SyncHandle};
 
 use crate::session::Session;
 
@@ -75,7 +83,8 @@ struct Parked {
     /// so the background spiller writes the same deadline `insert`
     /// would have.
     deadline_unix_ms: u64,
-    /// Whether a disk copy exists (write-through or spill succeeded).
+    /// Whether a disk copy was written (write-through or spill); the
+    /// next sync makes it crash-safe.
     durable: bool,
 }
 
@@ -86,11 +95,14 @@ pub struct ParkOutcome {
     pub evicted: usize,
     /// Hot entries dropped with their disk copy kept.
     pub spilled: usize,
-    /// The parked session was durably persisted before returning.
+    /// The parked session's checkpoint was written to the disk tier.
     pub persisted: bool,
     /// The disk tier refused the write at capacity (the session may
     /// still be parked hot-only).
     pub store_full: bool,
+    /// The call wrote pages that are crash-safe only once the next
+    /// sync returns.
+    pub wrote: bool,
 }
 
 /// Why [`SessionPark::insert_durable`] refused a park, handing the
@@ -114,6 +126,9 @@ pub struct Resumed {
     pub session: Session,
     /// Whether the resume decoded a disk checkpoint (hot-tier miss).
     pub from_disk: bool,
+    /// The take removed a disk copy. Until the next sync returns, a
+    /// crash could bring the session back.
+    pub wrote: bool,
 }
 
 /// TTL sweep results.
@@ -121,12 +136,16 @@ pub struct Resumed {
 pub struct SweepOutcome {
     /// Unique parked sessions destroyed by this sweep.
     pub expired: usize,
+    /// The sweep removed disk records; the next sync makes that
+    /// crash-safe.
+    pub wrote: bool,
 }
 
 /// Background-spill step results.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpillOutcome {
-    /// Hot-only sessions written through to disk by this step.
+    /// Hot-only sessions written through to disk by this step (not yet
+    /// synced).
     pub written: usize,
     /// The step stopped early because the disk tier is at capacity;
     /// the remaining hot-only entries stay pending for a later step.
@@ -223,12 +242,16 @@ impl SessionPark {
     /// records and wraps the rest as the disk tier.
     fn from_store(capacity: usize, ttl: Duration, mut store: SessionStore) -> (Self, usize) {
         // Expired records are dead weight from a previous life; drop
-        // them before they count against capacity.
+        // them before they count against capacity, with one sync for
+        // all the removals.
         let now = unix_now_ms();
         for (token, meta) in store.entries() {
             if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < now {
-                let _ = store.remove(token);
+                let _ = store.remove_unsynced(token);
             }
+        }
+        if let Err(e) = store.sync() {
+            cira_obs::warn!("park recovery sync failed", error = format!("{e}"));
         }
         let recovered = store.len();
         cira_obs::debug!("park recovered from disk", sessions = recovered);
@@ -250,6 +273,21 @@ impl SessionPark {
         self.inner.lock().unwrap().disk.is_some()
     }
 
+    /// A handle that syncs the disk tier's page file without taking the
+    /// park's lock, or `None` without a disk tier.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures duplicating the file descriptor.
+    pub fn sync_handle(&self) -> std::io::Result<Option<SyncHandle>> {
+        let inner = self.inner.lock().unwrap();
+        inner
+            .disk
+            .as_ref()
+            .map(SessionStore::sync_handle)
+            .transpose()
+    }
+
     /// The absolute wall-clock deadline for a park made now.
     fn deadline_unix_ms(&self) -> u64 {
         unix_now_ms().saturating_add(self.ttl.as_millis() as u64)
@@ -268,7 +306,7 @@ impl SessionPark {
         if self.capacity == 0 {
             if let Some(store) = inner.disk.as_mut() {
                 let blob = session.to_checkpoint(session_id).encode();
-                match store.put(token, session_id, deadline, &blob) {
+                match store.put_unsynced(token, session_id, deadline, &blob) {
                     Ok(()) => outcome.persisted = true,
                     Err(StoreError::Full { .. }) => outcome.store_full = true,
                     Err(e) => {
@@ -283,6 +321,7 @@ impl SessionPark {
             if !outcome.persisted {
                 outcome.evicted = 1; // dropped on the floor: parking disabled/full
             }
+            outcome.wrote = outcome.persisted;
             return outcome;
         }
         Self::hot_insert(
@@ -297,10 +336,11 @@ impl SessionPark {
         outcome
     }
 
-    /// Parks only if the session will survive: durably when a disk tier
-    /// exists, hot otherwise. A full disk tier or a park-less server
-    /// hands the session back untouched instead of degrading — the
-    /// caller can keep it attached and tell the client why.
+    /// Parks only if the session will survive: written to the disk tier
+    /// when one exists (crash-safe once the next sync returns), hot
+    /// otherwise. A full disk tier or a park-less server hands the
+    /// session back untouched instead of degrading — the caller can keep
+    /// it attached and tell the client why.
     pub fn insert_durable(
         &self,
         token: u64,
@@ -313,8 +353,11 @@ impl SessionPark {
         let deadline = self.deadline_unix_ms();
         if let Some(store) = inner.disk.as_mut() {
             let blob = session.to_checkpoint(session_id).encode();
-            match store.put(token, session_id, deadline, &blob) {
-                Ok(()) => outcome.persisted = true,
+            match store.put_unsynced(token, session_id, deadline, &blob) {
+                Ok(()) => {
+                    outcome.persisted = true;
+                    outcome.wrote = true;
+                }
                 Err(StoreError::Full { .. }) => return Err(ParkRefusal::Full(Box::new(session))),
                 Err(e) => {
                     cira_obs::warn!(
@@ -365,8 +408,11 @@ impl SessionPark {
                 outcome.spilled += 1;
             } else if let Some(store) = inner.disk.as_mut() {
                 let blob = old.session.to_checkpoint(old.session_id).encode();
-                match store.put(old.token, old.session_id, old.deadline_unix_ms, &blob) {
-                    Ok(()) => outcome.spilled += 1,
+                match store.put_unsynced(old.token, old.session_id, old.deadline_unix_ms, &blob) {
+                    Ok(()) => {
+                        outcome.spilled += 1;
+                        outcome.wrote = true;
+                    }
                     Err(e) => {
                         if matches!(e, StoreError::Full { .. }) {
                             outcome.store_full = true;
@@ -395,12 +441,13 @@ impl SessionPark {
     }
 
     /// One background-spill step: writes up to `max_n` of the oldest
-    /// hot-only (not yet durable) sessions through to the disk tier,
+    /// hot-only (not yet written) sessions through to the disk tier,
     /// marking them durable in place. Called from the shards' timer
-    /// ticks so fsync cost never sits on a connection teardown. A full
-    /// disk tier stops the step early ([`SpillOutcome::store_full`]);
-    /// the remainder stays pending for a later step, after sweeps or
-    /// resumes free pages. A no-op without a disk tier.
+    /// ticks; the step writes without syncing, so the caller owes one
+    /// sync for the whole step. A full disk tier stops the step early
+    /// ([`SpillOutcome::store_full`]); the remainder stays pending for a
+    /// later step, after sweeps or resumes free pages. A no-op without
+    /// a disk tier.
     pub fn spill_step(&self, max_n: usize) -> SpillOutcome {
         let mut outcome = SpillOutcome::default();
         let mut inner = self.inner.lock().unwrap();
@@ -416,7 +463,7 @@ impl SessionPark {
                 continue;
             }
             let blob = p.session.to_checkpoint(p.session_id).encode();
-            match store.put(p.token, p.session_id, p.deadline_unix_ms, &blob) {
+            match store.put_unsynced(p.token, p.session_id, p.deadline_unix_ms, &blob) {
                 Ok(()) => {
                     p.durable = true;
                     outcome.written += 1;
@@ -450,17 +497,19 @@ impl SessionPark {
 
     /// Takes the session parked under `token`: from the hot tier when
     /// resident, else by decoding its disk checkpoint. Either way the
-    /// disk copy is removed (durably), so a session never resurrects
-    /// after being resumed. Expired entries are dropped here rather
-    /// than resurrected.
+    /// disk copy is removed ([`Resumed::wrote`]; the next sync makes the
+    /// removal crash-safe), so a session never resurrects after being
+    /// resumed. Expired entries are dropped here rather than
+    /// resurrected.
     pub fn take(&self, token: u64) -> Option<Resumed> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         if let Some(idx) = inner.hot.iter().position(|p| p.token == token) {
             let p = inner.hot.remove(idx).expect("index from position");
+            let mut wrote = false;
             if p.durable {
                 if let Some(store) = inner.disk.as_mut() {
-                    let _ = store.remove(token);
+                    wrote = store.remove_unsynced(token).is_ok();
                 }
             }
             if p.at.elapsed() > self.ttl {
@@ -470,6 +519,7 @@ impl SessionPark {
                 session_id: p.session_id,
                 session: p.session,
                 from_disk: false,
+                wrote,
             });
         }
         let store = inner.disk.as_mut()?;
@@ -482,11 +532,11 @@ impl SessionPark {
                     token = token,
                     error = format!("{e}")
                 );
-                let _ = store.remove(token);
+                let _ = store.remove_unsynced(token);
                 return None;
             }
         };
-        let _ = store.remove(token);
+        let wrote = store.remove_unsynced(token).is_ok();
         if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < unix_now_ms() {
             return None; // expired on disk between sweeps
         }
@@ -502,6 +552,7 @@ impl SessionPark {
                 session_id: meta.session_id,
                 session,
                 from_disk: true,
+                wrote,
             }),
             Err(e) => {
                 cira_obs::warn!("park checkpoint unrestorable", token = token, error = e);
@@ -512,19 +563,20 @@ impl SessionPark {
 
     /// Drops every session parked longer than the TTL — hot entries by
     /// monotonic age, disk records by their absolute deadline — and
-    /// returns how many unique sessions were destroyed.
+    /// returns how many unique sessions were destroyed. Disk removals
+    /// are written, not synced ([`SweepOutcome::wrote`]).
     pub fn sweep(&self) -> SweepOutcome {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
-        let mut expired = 0;
+        let mut outcome = SweepOutcome::default();
         while inner.hot.front().is_some_and(|p| p.at.elapsed() > self.ttl) {
             let p = inner.hot.pop_front().expect("front checked");
             if p.durable {
                 if let Some(store) = inner.disk.as_mut() {
-                    let _ = store.remove(p.token);
+                    outcome.wrote |= store.remove_unsynced(p.token).is_ok();
                 }
             }
-            expired += 1;
+            outcome.expired += 1;
         }
         if let Some(store) = inner.disk.as_mut() {
             // Anything left on disk past its deadline is a spilled or
@@ -532,12 +584,12 @@ impl SessionPark {
             let now = unix_now_ms();
             for (token, meta) in store.entries() {
                 if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < now {
-                    let _ = store.remove(token);
-                    expired += 1;
+                    outcome.wrote |= store.remove_unsynced(token).is_ok();
+                    outcome.expired += 1;
                 }
             }
         }
-        SweepOutcome { expired }
+        outcome
     }
 
     /// Unique sessions currently parked (hot-only entries plus every
@@ -577,9 +629,11 @@ impl SessionPark {
 
     /// Shuts the park down. Without a disk tier, every parked session is
     /// dropped (rev 1.2 `clear`). With one, hot-only entries are written
-    /// through first, so every parked session survives the restart.
-    /// Returns `(persisted, dropped)` — sessions made durable on the way
-    /// down, and sessions destroyed for good.
+    /// through first and one sync covers them and every earlier write,
+    /// so every parked session survives the restart. Returns
+    /// `(persisted, dropped)` — sessions made durable on the way down,
+    /// and sessions destroyed for good (a failed final sync counts the
+    /// sessions it should have covered as dropped).
     pub fn shutdown_drain(&self) -> (usize, usize) {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -592,12 +646,18 @@ impl SessionPark {
             match inner.disk.as_mut() {
                 Some(store) => {
                     let blob = p.session.to_checkpoint(p.session_id).encode();
-                    match store.put(p.token, p.session_id, p.deadline_unix_ms, &blob) {
+                    match store.put_unsynced(p.token, p.session_id, p.deadline_unix_ms, &blob) {
                         Ok(()) => persisted += 1,
                         Err(_) => dropped += 1,
                     }
                 }
                 None => dropped += 1,
+            }
+        }
+        if let Some(store) = inner.disk.as_mut() {
+            if let Err(e) = store.sync() {
+                cira_obs::warn!("park shutdown sync failed", error = format!("{e}"));
+                return (0, persisted + dropped);
             }
         }
         (persisted, dropped)
@@ -797,6 +857,35 @@ mod tests {
         let r = park.take(1).unwrap();
         assert!(!r.from_disk);
         assert_eq!(park.disk_records(), 4, "resume removes the disk copy");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_spill_step_writes_without_syncing_and_one_sync_covers_it() {
+        let path = tmp("spill-one-sync");
+        let _ = std::fs::remove_file(&path);
+        let (park, _) = SessionPark::with_disk(16, Duration::from_secs(60), &path, 0).unwrap();
+        let handle = park.sync_handle().unwrap().expect("disk tier");
+        let unsynced = || {
+            let inner = park.inner.lock().unwrap();
+            inner.disk.as_ref().unwrap().has_unsynced()
+        };
+        for t in 1..=8u64 {
+            park.insert(t, t, small_session(t));
+        }
+        assert!(!unsynced());
+        assert_eq!(park.spill_step(usize::MAX).written, 8);
+        assert!(unsynced(), "the step itself must not sync");
+        handle.sync().unwrap();
+        assert!(!unsynced(), "one sync covers the whole step");
+        // A copy of the file as that sync left it holds all eight.
+        let image = path.with_file_name("spill-one-sync.image");
+        std::fs::copy(&path, &image).unwrap();
+        let (recovered, n) =
+            SessionPark::with_disk(16, Duration::from_secs(60), &image, 0).unwrap();
+        assert_eq!(n, 8);
+        drop(recovered);
+        std::fs::remove_file(&image).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

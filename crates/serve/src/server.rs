@@ -34,6 +34,13 @@
 //!   sessions to the disk tier, idle eviction, slow-loris stall
 //!   tracking, and write deadlines — all run as shard-local ticks every
 //!   `TICK_MS` (100 ms).
+//! * **Durability**: with a disk park tier, one more thread
+//!   ([`crate::durability`]) runs the page file's syncs. A shard writes
+//!   a checkpoint or a removal without syncing, and holds that
+//!   connection's `PARKED_ACK` or `RESUMED` (the connection is busy, as
+//!   during a batch run) until the thread reports a sync that began
+//!   after the writes; the completion comes back through the shard's
+//!   inbox. Meanwhile the shard serves other connections.
 //! * **Shutdown**: triggering the [`ShutdownToken`] stops the accept
 //!   loop and puts every shard into drain: in-flight batch runs finish
 //!   and are acked, every connection gets a `SHUTTING_DOWN` error, and
@@ -56,6 +63,7 @@ use cira_obs::trace::{self, Stage};
 use cira_obs::Registry;
 use cira_trace::codec::PackedTrace;
 
+use crate::durability::{Durability, Waiter};
 use crate::event::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::frame::{FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
 use crate::metrics::{register_shards, ServerMetrics, ShardMetrics};
@@ -179,6 +187,9 @@ struct Shared {
     /// Monotonic deadline for the next spill step; same guard pattern
     /// as `next_sweep`.
     next_spill: Mutex<Instant>,
+    /// The thread that syncs the park's page file; present exactly when
+    /// the park has a disk tier.
+    durability: Option<Durability>,
 }
 
 impl Shared {
@@ -220,10 +231,27 @@ impl Shared {
         self.sweep_park();
     }
 
+    /// Asks the durability thread for a sync that begins after this
+    /// call; `waiter` runs once it returns. Without a disk tier nothing
+    /// was written, so the waiter runs at once.
+    fn request_sync(&self, waiter: Option<Waiter>) {
+        match &self.durability {
+            Some(d) => d.request(waiter),
+            None => {
+                if let Some(w) = waiter {
+                    w(Ok(()));
+                }
+            }
+        }
+    }
+
     /// TTL-sweeps the park, keeping the eviction counters and the live
     /// gauge in step.
     fn sweep_park(&self) {
         let outcome = self.park.sweep();
+        if outcome.wrote {
+            self.request_sync(None);
+        }
         if outcome.expired > 0 {
             self.metrics.park_evicted_ttl.add(outcome.expired as u64);
             self.metrics.sessions_live.add(-(outcome.expired as i64));
@@ -233,11 +261,13 @@ impl Shared {
     }
 
     /// Writes a bounded batch of hot-only parked sessions through to the
-    /// disk tier if the spill deadline has passed (rev 1.4): teardown
-    /// parks are durable within a tick or two of parking without the
-    /// connection ever waiting on an fsync. A full store stops the step
-    /// quietly — the next explicit `PARK` reports `STORE_FULL`; the
-    /// background path just retries after the next eviction or sweep.
+    /// disk tier if the spill deadline has passed (rev 1.4), then hands
+    /// one sync for the whole batch to the durability thread: teardown
+    /// parks are durable within a tick or two of parking, and neither
+    /// the connection nor the shard waits on an fsync. A full store
+    /// stops the step quietly — the next explicit `PARK` reports
+    /// `STORE_FULL`; the background path just retries after the next
+    /// eviction or sweep.
     fn maybe_spill(&self) {
         if !self.park.has_disk() {
             return;
@@ -254,6 +284,7 @@ impl Shared {
         let outcome = self.park.spill_step(SPILL_BATCH);
         if outcome.written > 0 {
             span.end_with(outcome.written as u64);
+            self.request_sync(None);
             self.metrics.park_bg_spilled.add(outcome.written as u64);
             self.publish_store_gauges();
             cira_obs::debug!(
@@ -282,6 +313,7 @@ impl Shared {
 
     /// Applies a [`crate::park::ParkOutcome`]'s counter deltas: spills
     /// keep their sessions (disk copy retained), evictions destroy them.
+    /// The caller owes the sync for `outcome.wrote`.
     fn account_park(&self, outcome: &crate::park::ParkOutcome) {
         if outcome.evicted > 0 {
             self.metrics
@@ -370,6 +402,19 @@ struct ConnState {
     /// Set once the connection is condemned; it tears down as soon as
     /// it is not busy and its write queue has drained (or died).
     closing: Option<Close>,
+    /// A reply waiting for the durability thread's sync; the connection
+    /// is busy meanwhile.
+    held: Option<Held>,
+}
+
+/// A durability receipt held until a sync covers the park writes of the
+/// request it answers.
+#[derive(Debug)]
+enum Held {
+    /// `PARK`: the session is in the park; `PARKED_ACK` is owed.
+    Park { id: u64, token: u64 },
+    /// `RESUME`: the session is attached again; this `RESUMED` is owed.
+    Resume(ServerFrame),
 }
 
 impl ConnState {
@@ -392,6 +437,7 @@ impl ConnState {
             read_eof: false,
             io_dead: false,
             closing: None,
+            held: None,
         }
     }
 }
@@ -414,12 +460,17 @@ struct Done {
 }
 
 /// Messages posted to a shard's inbox (new sockets from the acceptor,
-/// migrating connections, batch completions).
+/// migrating connections, batch completions, sync completions).
 #[derive(Debug)]
 enum ShardMsg {
     NewConn(TcpStream),
     Handoff(Box<Handoff>),
     Done(Box<Done>),
+    /// The sync a held reply waited for returned (`Err`: it failed).
+    Synced {
+        conn_id: u64,
+        result: Result<(), String>,
+    },
 }
 
 /// A shard's cross-thread mailbox: a locked queue plus the eventfd that
@@ -569,6 +620,7 @@ impl Shard {
                     }
                     self.complete(d);
                 }
+                Some(ShardMsg::Synced { conn_id, result }) => self.release(conn_id, result),
                 None => break,
             }
         }
@@ -685,6 +737,89 @@ impl Shard {
         self.pump_and_dispose(conn_id, conn);
     }
 
+    /// Holds `conn`'s reply until the durability thread's next sync
+    /// returns; the completion comes back through this shard's inbox.
+    fn hold(&self, conn: &mut ConnState, held: Held) {
+        conn.busy = true;
+        conn.held = Some(held);
+        let me = Arc::clone(&self.me);
+        let conn_id = conn.token;
+        self.shared.request_sync(Some(Box::new(move |result| {
+            me.post(ShardMsg::Synced { conn_id, result });
+        })));
+    }
+
+    /// Sends a held reply once its sync returned. A failed sync takes a
+    /// parked session back out of the park and answers `STORE_FULL`
+    /// with it attached again; a resume is answered anyway, with a
+    /// warning (the session is already attached).
+    fn release(&mut self, conn_id: u64, result: Result<(), String>) {
+        let Some(mut conn) = self.conns.remove(&conn_id) else {
+            return; // held connections stay in the map until released
+        };
+        if let Some(held) = conn.held.take() {
+            conn.busy = false;
+            match (held, result) {
+                (Held::Park { id, token }, Ok(())) => {
+                    self.parked(&mut conn, id, token);
+                    conn.closing = Some(Close::Clean);
+                }
+                (Held::Park { id, token }, Err(error)) => {
+                    cira_obs::warn!("park sync failed", session = id, error = error);
+                    self.shared.metrics.park_store_full.inc();
+                    match self.shared.park.take(token) {
+                        Some(resumed) => {
+                            if resumed.wrote {
+                                self.shared.request_sync(None);
+                            }
+                            self.shared.publish_store_gauges();
+                            conn.active = Some(Active {
+                                id,
+                                session: resumed.session,
+                            });
+                            self.store_full(&mut conn);
+                        }
+                        None => {
+                            self.shared.metrics.sessions_live.dec();
+                            self.conn_error(
+                                &mut conn,
+                                code::STORE_FULL,
+                                "park sync failed and the session was lost".to_owned(),
+                            );
+                            conn.closing = Some(Close::Clean);
+                        }
+                    }
+                }
+                (Held::Resume(ack), result) => {
+                    if let Err(error) = result {
+                        cira_obs::warn!("resume removal sync failed", error = error);
+                    }
+                    self.send(&mut conn, &ack);
+                }
+            }
+        }
+        self.pump_and_dispose(conn_id, conn);
+    }
+
+    /// Counts a successful `PARK` and sends its `PARKED_ACK`.
+    fn parked(&self, conn: &mut ConnState, id: u64, token: u64) {
+        self.shared.metrics.sessions_parked.inc();
+        cira_obs::info!("session parked on request", session = id);
+        self.send(conn, &ServerFrame::ParkedAck { token });
+    }
+
+    /// Tells the client its `PARK` was refused and its session is still
+    /// attached (mirrors `BUSY`).
+    fn store_full(&self, conn: &mut ConnState) {
+        self.send(
+            conn,
+            &ServerFrame::StoreFull {
+                retry_after_ms: self.cfg.busy_retry_ms,
+                message: "disk park tier at capacity; session still attached".to_owned(),
+            },
+        );
+    }
+
     /// Parks a session whose connection vanished mid-run (mirrors the
     /// teardown park path, minus the socket).
     fn park_orphan(&self, active: Active) {
@@ -694,6 +829,9 @@ impl Shard {
         }
         let token = active.session.token();
         let outcome = self.shared.park.insert(token, active.id, active.session);
+        if outcome.wrote {
+            self.shared.request_sync(None);
+        }
         self.shared.account_park(&outcome);
         if self.cfg.park_capacity > 0 || outcome.persisted {
             self.shared.metrics.sessions_parked.inc();
@@ -979,8 +1117,8 @@ impl Shard {
             } else {
                 // Park for RESUME; the last acked batch is durable state.
                 // The checkpoint reaches disk via the background spill
-                // within a tick or two (explicit PARK frames are still
-                // write-through before their ack).
+                // within a tick or two (explicit PARK frames are written
+                // through, and their ack waits for the sync).
                 let token = active.session.token();
                 let session_id = active.id;
                 trace::set_ctx(
@@ -992,6 +1130,9 @@ impl Shard {
                 let outcome = self.shared.park.insert(token, session_id, active.session);
                 span.end_with(outcome.persisted as u64);
                 trace::clear_ctx();
+                if outcome.wrote {
+                    self.shared.request_sync(None);
+                }
                 self.shared.account_park(&outcome);
                 // `evicted` counts destroyed sessions; with hot capacity
                 // 0 and no disk write-through that is this session
@@ -1263,6 +1404,7 @@ impl Shard {
                     Some(resumed) => {
                         let session_id = resumed.session_id;
                         let from_disk = resumed.from_disk;
+                        let wrote = resumed.wrote;
                         let session = resumed.session;
                         let ack = session.resume_ack(
                             session_id,
@@ -1287,7 +1429,14 @@ impl Shard {
                             metrics.park_loaded.inc();
                         }
                         self.shared.publish_store_gauges();
-                        self.send(conn, &ack);
+                        // The removal of the disk copy must be synced
+                        // before RESUMED: a crash must not bring back a
+                        // session the client has taken.
+                        if wrote {
+                            self.hold(conn, Held::Resume(ack));
+                        } else {
+                            self.send(conn, &ack);
+                        }
                         Action::Continue
                     }
                     None => {
@@ -1361,15 +1510,13 @@ impl Shard {
                 match parked {
                     Ok(outcome) => {
                         self.shared.account_park(&outcome);
-                        metrics.sessions_parked.inc();
-                        cira_obs::info!(
-                            "session parked on request",
-                            session = id,
-                            durable = outcome.persisted,
-                        );
-                        // The ack is the durability receipt: sent only after
-                        // the checkpoint is on disk (when a disk tier exists).
-                        self.send(conn, &ServerFrame::ParkedAck { token });
+                        // The ack is the durability receipt: with a disk
+                        // tier it waits until a sync covers the checkpoint.
+                        if outcome.wrote {
+                            self.hold(conn, Held::Park { id, token });
+                            return Action::Continue;
+                        }
+                        self.parked(conn, id, token);
                         Action::CloseClean
                     }
                     Err(ParkRefusal::Full(session)) => {
@@ -1379,14 +1526,7 @@ impl Shard {
                             id,
                             session: *session,
                         });
-                        self.send(
-                            conn,
-                            &ServerFrame::StoreFull {
-                                retry_after_ms: self.cfg.busy_retry_ms,
-                                message: "disk park tier at capacity; session still attached"
-                                    .to_owned(),
-                            },
-                        );
+                        self.store_full(conn);
                         Action::Continue
                     }
                     Err(ParkRefusal::Disabled(session)) => {
@@ -1591,11 +1731,16 @@ impl ServerHandle {
         for t in threads {
             let _ = t.join();
         }
+        // No reply waits on a sync any more; finish the syncs the timer
+        // paths asked for, then stop the durability thread.
+        if let Some(d) = &self.shared.durability {
+            d.stop();
+        }
         // All shards have exited; drain the park exactly once. With a
-        // disk tier, hot-only parks are written through first so every
-        // parked session survives the restart; without one they are
-        // destroyed (gauge stays honest either way — the process is
-        // exiting).
+        // disk tier, hot-only parks are written through first and one
+        // sync covers everything, so every parked session survives the
+        // restart; without one they are destroyed (gauge stays honest
+        // either way — the process is exiting).
         let (persisted, dropped) = self.shared.park.shutdown_drain();
         self.metrics.sessions_live.add(-(dropped as i64));
         if persisted > 0 {
@@ -1624,6 +1769,22 @@ impl Drop for ServerHandle {
 /// Returns bind/epoll setup errors; everything after startup is reported
 /// per-connection, never fatally.
 pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Result<ServerHandle> {
+    serve_with_sync_hook(addr, cfg, pool, None)
+}
+
+/// Runs on the durability thread after each sync of the park's page
+/// file, before the replies it covers are released, and returns the
+/// result those replies get.
+type SyncHook = Box<dyn FnMut(io::Result<()>) -> io::Result<()> + Send>;
+
+/// [`serve`], with a hook that sees every completed park sync (tests
+/// copy the page file there to get crash images, or fail the sync).
+fn serve_with_sync_hook(
+    addr: &str,
+    cfg: ServerConfig,
+    pool: &'static WorkerPool,
+    mut after_sync: Option<SyncHook>,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
@@ -1687,6 +1848,23 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
         metrics.sessions_live.add(recovered as i64);
         cira_obs::info!("parked sessions recovered from disk", sessions = recovered);
     }
+    let durability = match park.sync_handle()? {
+        Some(handle) => {
+            let metrics = Arc::clone(&metrics);
+            Some(Durability::spawn(move || {
+                let t0 = Instant::now();
+                let result = handle.sync();
+                metrics
+                    .park_sync_us
+                    .record(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                match after_sync.as_mut() {
+                    Some(hook) => hook(result),
+                    None => result,
+                }
+            })?)
+        }
+        None => None,
+    };
     let shared = Arc::new(Shared {
         metrics: Arc::clone(&metrics),
         session_ids: AtomicU64::new(1),
@@ -1700,6 +1878,7 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
         // Spill every tick: a teardown park is durable within ~2 ticks.
         spill_every: Duration::from_millis(TICK_MS),
         next_spill: Mutex::new(Instant::now()),
+        durability,
     });
     shared.publish_store_gauges();
     let metrics_http = match &cfg.metrics_addr {
@@ -1789,4 +1968,234 @@ pub fn serve(addr: &str, cfg: ServerConfig, pool: &'static WorkerPool) -> io::Re
         shard_shared,
         shards: Some(threads),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
+
+    use cira_store::page::PAGE_SIZE;
+    use cira_store::SessionStore;
+
+    use crate::proto::HelloConfig;
+    use crate::Client;
+
+    /// A session spec whose checkpoint spans a few pages.
+    fn small_config() -> HelloConfig {
+        HelloConfig {
+            predictor: "gshare:10:10".to_owned(),
+            mechanism: "resetting:10".to_owned(),
+            index: "pcxorbhr:10".to_owned(),
+            init: "ones".to_owned(),
+            threshold: 8,
+        }
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cira-server-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_spill_step_of_many_sessions_asks_for_one_sync() {
+        let dir = temp_dir("spill-sync");
+        let (park, _) =
+            SessionPark::with_disk(64, Duration::from_secs(60), &dir.join("park.cirstore"), 0)
+                .unwrap();
+        let handle = park.sync_handle().unwrap().expect("disk tier");
+        let syncs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&syncs);
+        let durability = Durability::spawn(move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            handle.sync()
+        })
+        .unwrap();
+        for t in 1..=SPILL_BATCH as u64 {
+            let session = Session::from_hello(&small_config(), t).unwrap();
+            park.insert(t, t, session);
+        }
+        let shared = Shared {
+            metrics: Arc::new(ServerMetrics::new()),
+            session_ids: AtomicU64::new(1),
+            token_seed: 0,
+            token_ids: AtomicU64::new(1),
+            park,
+            sweep_every: Duration::from_secs(1),
+            next_sweep: Mutex::new(Instant::now()),
+            spill_every: Duration::from_millis(TICK_MS),
+            next_spill: Mutex::new(Instant::now()),
+            durability: Some(durability),
+        };
+        shared.maybe_spill();
+        assert_eq!(shared.park.pending_spill(), 0);
+        assert_eq!(shared.metrics.park_bg_spilled.get(), SPILL_BATCH as u64);
+        shared.durability.as_ref().unwrap().stop();
+        assert_eq!(syncs.load(Ordering::Relaxed), 1, "one sync per spill step");
+        drop(shared);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_syncs_get_the_replies_failed_writes_got() {
+        use std::sync::atomic::AtomicBool;
+        let dir = temp_dir("failed-sync");
+        let fail = Arc::new(AtomicBool::new(false));
+        let hook: SyncHook = {
+            let fail = Arc::clone(&fail);
+            Box::new(move |result| {
+                if fail.load(Ordering::Relaxed) {
+                    return Err(io::Error::other("injected sync failure"));
+                }
+                result
+            })
+        };
+        let cfg = ServerConfig {
+            shards: 1,
+            park_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let handle =
+            serve_with_sync_hook("127.0.0.1:0", cfg, WorkerPool::global(), Some(hook)).unwrap();
+        let addr = handle.local_addr().to_string();
+        let bench = &cira_trace::suite::ibs_like_suite()[0];
+        let first: PackedTrace = bench.walker().take(512).collect();
+        let rest: PackedTrace = bench.walker().skip(512).take(512).collect();
+
+        let mut client = Client::connect(&addr, small_config()).unwrap();
+        client.send_batch(&first).unwrap();
+        // A PARK whose sync fails is refused like a full disk tier, with
+        // the session attached again and still usable.
+        fail.store(true, Ordering::Relaxed);
+        assert!(matches!(
+            client.park(),
+            Err(crate::client::ClientError::StoreFull { .. })
+        ));
+        assert_eq!(handle.metrics().park_store_full.get(), 1);
+        fail.store(false, Ordering::Relaxed);
+        client.send_batch(&rest).unwrap();
+        let stats = client.snapshot_stats().unwrap();
+        let token = client.park().unwrap();
+        // A RESUME whose removal fails to sync is still answered.
+        fail.store(true, Ordering::Relaxed);
+        let mut resumed = Client::builder(&addr).resume(token).unwrap();
+        fail.store(false, Ordering::Relaxed);
+        assert_eq!(resumed.snapshot_stats().unwrap(), stats, "nothing lost");
+        resumed.goodbye().unwrap();
+        handle.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_images_hold_every_acked_park_and_no_resumed_token() {
+        for shards in [1, 2, 4] {
+            crash_image_body(shards);
+        }
+    }
+
+    /// The tokens in the crash image at `image`, read through a private
+    /// copy at `scratch` (the hook may replace the image meanwhile).
+    fn image_tokens(image: &std::path::Path, scratch: &std::path::Path) -> HashSet<u64> {
+        let Ok(bytes) = std::fs::read(image) else {
+            return HashSet::new(); // no sync has completed yet
+        };
+        std::fs::write(scratch, bytes).unwrap();
+        let store = SessionStore::open(scratch, 0).unwrap();
+        store.entries().into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// Client threads run concurrent PARK/RESUME lifecycles while a sync
+    /// hook copies the page file after every completed sync. Each copy
+    /// is what a power loss right after that sync could leave on disk.
+    /// So when a `PARKED_ACK` arrives the latest copy must hold its
+    /// token, when a `RESUMED` arrives it must not, and the last copy
+    /// must hold exactly the acked parks that were not resumed.
+    fn crash_image_body(shards: usize) {
+        const THREADS: usize = 4;
+        const PARKS: usize = 6;
+        let dir = temp_dir(&format!("crash-s{shards}"));
+        let file = dir.join("park.cirstore");
+        let image = dir.join("image.cirstore");
+        let images = Arc::new(AtomicUsize::new(0));
+        let hook: SyncHook = {
+            let (file, image, images) = (file.clone(), image.clone(), Arc::clone(&images));
+            Box::new(move |result| {
+                // Whole pages only: the file may grow while it is read.
+                let mut bytes = std::fs::read(&file).unwrap();
+                bytes.truncate(bytes.len() / PAGE_SIZE * PAGE_SIZE);
+                let tmp = image.with_extension("tmp");
+                std::fs::write(&tmp, &bytes).unwrap();
+                std::fs::rename(&tmp, &image).unwrap();
+                images.fetch_add(1, Ordering::Relaxed);
+                result
+            })
+        };
+        let cfg = ServerConfig {
+            shards,
+            park_dir: Some(dir.clone()),
+            park_capacity: 2,
+            park_ttl_ms: 3_600_000,
+            ..ServerConfig::default()
+        };
+        let handle =
+            serve_with_sync_hook("127.0.0.1:0", cfg, WorkerPool::global(), Some(hook)).unwrap();
+        let addr = handle.local_addr().to_string();
+        let trace: PackedTrace = cira_trace::suite::ibs_like_suite()[0]
+            .walker()
+            .take(512)
+            .collect();
+
+        let (mut parked, mut resumed) = (HashSet::new(), HashSet::new());
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (addr, trace, image) = (&addr, &trace, &image);
+                    let scratch = dir.join(format!("check-{thread}.cirstore"));
+                    s.spawn(move || {
+                        let mut tokens = Vec::new();
+                        for _ in 0..PARKS {
+                            let mut client = Client::connect(addr, small_config()).unwrap();
+                            client.send_batch(trace).unwrap();
+                            let token = client.park().unwrap();
+                            assert!(
+                                image_tokens(image, &scratch).contains(&token),
+                                "PARKED_ACK before a sync covered the checkpoint"
+                            );
+                            tokens.push(token);
+                        }
+                        // Resume every other token, then leave.
+                        let mut taken = Vec::new();
+                        for &token in tokens.iter().step_by(2) {
+                            let client = Client::builder(addr).resume(token).unwrap();
+                            assert!(
+                                !image_tokens(image, &scratch).contains(&token),
+                                "RESUMED before a sync covered the removal"
+                            );
+                            client.goodbye().unwrap();
+                            taken.push(token);
+                        }
+                        (tokens, taken)
+                    })
+                })
+                .collect();
+            for run in runs {
+                let (tokens, taken) = run.join().unwrap();
+                parked.extend(tokens);
+                resumed.extend(taken);
+            }
+        });
+        assert!(images.load(Ordering::Relaxed) > 0, "the hook never ran");
+        let on_disk = image_tokens(&image, &dir.join("check-last.cirstore"));
+        let expected: HashSet<u64> = parked.difference(&resumed).copied().collect();
+        assert_eq!(expected.len(), THREADS * PARKS / 2);
+        assert_eq!(
+            on_disk, expected,
+            "{shards} shards: the crash image must hold exactly the acked, unresumed parks"
+        );
+        handle.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -128,6 +128,8 @@ const EXPOSITION: &str = "\
 # TYPE cira_server_store_recovery_ms gauge
 # HELP cira_server_park_bg_spilled_total Hot parked sessions written to disk by the background spiller
 # TYPE cira_server_park_bg_spilled_total counter
+# HELP cira_server_park_sync_us Wall-clock microseconds of one park page-file sync
+# TYPE cira_server_park_sync_us histogram
 # HELP cira_build_info Build provenance; the value is always 1
 # TYPE cira_build_info gauge
 # HELP cira_trace_events_recorded_total Flight-recorder span events recorded across all rings

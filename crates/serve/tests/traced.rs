@@ -4,8 +4,11 @@
 //! whole request lifecycle — accept, parse, inbox hand-off, batch
 //! checkout, scoring (and its per-chunk kernel spans), completion,
 //! write queue/flush — plus a park spill, a park load, and a cross-shard
-//! resume migration.
+//! resume migration. With a disk park tier, the dump also shows that
+//! every `PARKED_ACK` and `RESUMED` waited for an `fsync` on the
+//! durability thread that began after the request's page writes.
 
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -46,13 +49,131 @@ fn dump(http_addr: SocketAddr) -> String {
     json
 }
 
+/// One event line of a dump: name, thread, trace id, aux, and its start
+/// and end in nanoseconds (equal for an instant).
+#[derive(Debug, Clone)]
+struct Event {
+    name: String,
+    tid: u64,
+    trace: u64,
+    aux: u64,
+    start: u64,
+    end: u64,
+}
+
+/// The text after `"key":` up to the next `,` or `}`.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let rest = &line[at..];
+    Some(&rest[..rest.find([',', '}'])?])
+}
+
+/// A `µs.nnn` timestamp as whole nanoseconds, exactly.
+fn ns(us: &str) -> u64 {
+    us.replace('.', "")
+        .parse()
+        .expect("fixed-point microseconds")
+}
+
+/// The dump's span and instant events, plus each thread's name by tid.
+/// The dump writes one event per line.
+fn parse_dump(json: &str) -> (Vec<Event>, HashMap<u64, String>) {
+    let mut events = Vec::new();
+    let mut threads = HashMap::new();
+    for line in json.lines() {
+        let (Some(name), Some(tid)) = (field(line, "name"), field(line, "tid")) else {
+            continue;
+        };
+        let tid: u64 = tid.parse().unwrap();
+        if name == "\"thread_name\"" {
+            let label = line.rsplit("\"name\":\"").next().unwrap();
+            threads.insert(tid, label[..label.find('"').unwrap()].to_owned());
+            continue;
+        }
+        let Some(ts) = field(line, "ts") else {
+            continue;
+        };
+        let start = ns(ts);
+        let dur = field(line, "dur").map_or(0, ns);
+        events.push(Event {
+            name: name.trim_matches('"').to_owned(),
+            tid,
+            trace: field(line, "trace").unwrap().parse().unwrap(),
+            aux: field(line, "aux").unwrap().parse().unwrap(),
+            start,
+            end: start + dur,
+        });
+    }
+    (events, threads)
+}
+
+/// Checks every explicit PARK (a `park_spill` span with aux 1) and
+/// every RESUME (`park_load`): the reply it queued next on its
+/// connection must come after the end of an `fsync` on the durability
+/// thread that began after the request's last `page_write`. Returns how
+/// many replies it checked.
+fn replies_follow_a_covering_fsync(json: &str) -> usize {
+    let (events, threads) = parse_dump(json);
+    let durability: Vec<u64> = threads
+        .iter()
+        .filter(|(_, name)| name.as_str() == "cira-serve-durability")
+        .map(|(&tid, _)| tid)
+        .collect();
+    assert_eq!(durability.len(), 1, "one durability thread: {threads:?}");
+    let shard_threads: Vec<u64> = threads
+        .iter()
+        .filter(|(_, name)| name.starts_with("cira-serve-shard"))
+        .map(|(&tid, _)| tid)
+        .collect();
+    let fsyncs: Vec<&Event> = events.iter().filter(|e| e.name == "fsync").collect();
+    assert!(
+        fsyncs.iter().all(|e| !shard_threads.contains(&e.tid)),
+        "a shard thread ran an fsync"
+    );
+    let mut checked = 0;
+    for req in events.iter().filter(|e| {
+        e.trace != 0 && ((e.name == "park_spill" && e.aux == 1) || e.name == "park_load")
+    }) {
+        let last_write = events
+            .iter()
+            .filter(|e| {
+                e.name == "page_write"
+                    && e.trace == req.trace
+                    && e.start >= req.start
+                    && e.end <= req.end
+            })
+            .map(|e| e.end)
+            .max()
+            .unwrap_or_else(|| panic!("{} wrote no page", req.name));
+        let reply = events
+            .iter()
+            .filter(|e| e.name == "write_queue" && e.trace == req.trace && e.start >= req.end)
+            .map(|e| e.start)
+            .min()
+            .unwrap_or_else(|| panic!("{} got no reply", req.name));
+        assert!(
+            fsyncs
+                .iter()
+                .any(|f| f.tid == durability[0] && f.start >= last_write && f.end <= reply),
+            "{} reply at {reply} ns has no durability-thread fsync between its \
+             last page write ({last_write} ns) and it",
+            req.name
+        );
+        checked += 1;
+    }
+    checked
+}
+
 #[test]
 fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
+    let park_dir = std::env::temp_dir().join(format!("cira-traced-park-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&park_dir);
     let cfg = ServerConfig {
         shards: 2,
         trace: true,
-        trace_capacity: 1 << 14,
+        trace_capacity: 1 << 16,
         metrics_addr: Some("127.0.0.1:0".into()),
+        park_dir: Some(park_dir.clone()),
         ..ServerConfig::default()
     };
     let handle = serve("127.0.0.1:0", cfg, WorkerPool::global()).expect("bind");
@@ -78,14 +199,24 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     // probability ~1/2, so 24 cycles cannot all stay home in practice).
     let mut token = client.park().expect("park");
     let mut json = String::new();
+    let mut cycles = 0;
     for _ in 0..24 {
         let mut resumed = Client::builder(&addr).resume(token).expect("resume");
         token = resumed.park().expect("re-park");
+        cycles += 1;
         json = dump(http_addr);
         if json.contains("\"migrate\"") {
             break;
         }
     }
+
+    // The park is durable: each PARKED_ACK and RESUMED waited for a
+    // sync on the durability thread that covered its page writes.
+    assert_eq!(
+        replies_follow_a_covering_fsync(&json),
+        1 + 2 * cycles,
+        "every PARK and RESUME reply checked"
+    );
 
     // A loadable Chrome trace: one JSON object with a traceEvents array.
     assert!(
@@ -128,4 +259,5 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     assert!(text.contains("cira_build_info{"), "no build_info gauge");
 
     handle.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&park_dir);
 }

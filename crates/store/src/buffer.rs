@@ -3,16 +3,17 @@
 //! The [`BufferManager`] caches a bounded number of page frames over a
 //! [`PageFile`]. Pages are accessed through closures that pin the frame
 //! for the duration of the call; dirty frames are written back when
-//! evicted or on [`BufferManager::flush_all`]. Eviction is a clock: a
-//! reference bit per frame and a sweeping hand that clears bits until it
-//! finds a cold, unpinned frame — cheap, and scan-resistant enough for the
-//! park workload. Pinned frames are never evicted.
+//! evicted or on [`BufferManager::write_back`], which does not sync
+//! ([`BufferManager::sync`] does). Eviction is a clock: a reference bit
+//! per frame and a sweeping hand that clears bits until it finds a cold,
+//! unpinned frame — cheap, and scan-resistant enough for the park
+//! workload. Pinned frames are never evicted.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 
-use crate::file::PageFile;
+use crate::file::{FileSyncer, PageFile};
 use crate::page::PAGE_SIZE;
 
 /// One cached page.
@@ -214,14 +215,15 @@ impl BufferManager {
         Ok(r)
     }
 
-    /// Writes back every dirty frame and syncs the file to stable
-    /// storage. After this returns, everything written through the
-    /// manager survives a crash.
+    /// Writes every dirty frame to the file without syncing it. After
+    /// this returns the pages are in the file (a sync through any
+    /// descriptor covers them) but not yet crash-safe; after a
+    /// following [`BufferManager::sync`] they survive a crash.
     ///
     /// # Errors
     ///
-    /// I/O failures writing back or syncing.
-    pub fn flush_all(&mut self) -> io::Result<()> {
+    /// I/O failures writing back.
+    pub fn write_back(&mut self) -> io::Result<()> {
         for slot in 0..self.frames.len() {
             if self.frames[slot].dirty {
                 let page = self.frames[slot].page.expect("dirty frame has a page");
@@ -229,7 +231,25 @@ impl BufferManager {
                 self.frames[slot].dirty = false;
             }
         }
+        Ok(())
+    }
+
+    /// Syncs the file to stable storage; dirty frames are not written.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures syncing.
+    pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync()
+    }
+
+    /// A [`FileSyncer`] on a second descriptor of the underlying file.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures duplicating the descriptor.
+    pub fn syncer(&self) -> io::Result<FileSyncer> {
+        self.file.syncer()
     }
 }
 
@@ -322,7 +342,7 @@ mod tests {
             bm.overwrite_page(4, |_| ()).is_err(),
             "past the end of the file"
         );
-        bm.flush_all().unwrap();
+        bm.write_back().unwrap();
         drop(bm);
         let pf = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -332,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_persists_dirty_frames() {
+    fn write_back_persists_dirty_frames() {
         let path = tmp("flush");
         let mut pf = PageFile::create(&path).unwrap();
         pf.grow(2).unwrap();
@@ -342,7 +362,8 @@ mod tests {
             d[7] = 0x5a;
         })
         .unwrap();
-        bm.flush_all().unwrap();
+        bm.write_back().unwrap();
+        bm.sync().unwrap();
         drop(bm);
         let pf = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];

@@ -19,6 +19,8 @@
 //!
 //! Every page is read and written at its offset (`pread(2)` and
 //! `pwrite(2)`): one system call per page, and no shared file cursor.
+//! A [`FileSyncer`] is a second descriptor on the same file that can
+//! only sync it, so the sync can run on another thread.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -49,11 +51,13 @@ pub struct PageFile {
 
 impl PageFile {
     /// Creates a fresh page file at `path` (truncating any existing
-    /// file) with just the superblock, synced to disk.
+    /// file) with just the superblock, synced to disk, then syncs the
+    /// directory that holds it so the file's name survives a crash too.
     ///
     /// # Errors
     ///
-    /// I/O failures creating or writing the file.
+    /// I/O failures creating or writing the file or syncing its
+    /// directory.
     pub fn create(path: &Path) -> io::Result<Self> {
         let file = OpenOptions::new()
             .read(true)
@@ -69,6 +73,11 @@ impl PageFile {
         sb[16..24].copy_from_slice(&sum.to_le_bytes());
         file.write_all_at(&sb, 0)?;
         file.sync_all()?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(Self { file, pages: 1 })
     }
 
@@ -206,6 +215,42 @@ impl PageFile {
         let r = self.file.sync_all();
         if let Some(span) = span {
             span.end_with(self.pages);
+        }
+        r
+    }
+
+    /// A [`FileSyncer`] on a second descriptor of this file.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures duplicating the descriptor.
+    pub fn syncer(&self) -> io::Result<FileSyncer> {
+        Ok(FileSyncer {
+            file: self.file.try_clone()?,
+        })
+    }
+}
+
+/// A second descriptor on a [`PageFile`] that can only sync it.
+/// `fsync(2)` flushes the file, not the descriptor, so a sync through
+/// this handle covers every page the [`PageFile`] wrote before the sync
+/// began, while the page file stays free to write on another thread.
+#[derive(Debug)]
+pub struct FileSyncer {
+    file: File,
+}
+
+impl FileSyncer {
+    /// Flushes file data and metadata to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures syncing.
+    pub fn sync(&self) -> io::Result<()> {
+        let span = io_span(Stage::Fsync);
+        let r = self.file.sync_all();
+        if let Some(span) = span {
+            span.end();
         }
         r
     }

@@ -23,7 +23,9 @@
 //!
 //! Everything is std-only: no registry dependencies, no memory-mapped
 //! I/O, no background threads. Callers own locking; `cira-serve` keeps
-//! the store behind the same mutex as the hot park tier.
+//! the store behind the same mutex as the hot park tier, and syncs it
+//! from its own durability thread through a [`store::SyncHandle`],
+//! which needs no lock.
 //!
 //! # Example
 //!
@@ -63,4 +65,4 @@ pub mod store;
 pub use buffer::BufferManager;
 pub use cird::Checkpoint;
 pub use file::PageFile;
-pub use store::{PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta};
+pub use store::{PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta, SyncHandle};

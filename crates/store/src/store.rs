@@ -5,12 +5,23 @@
 //! monotonic epoch), laid out as chains of checksummed pages in one
 //! [`PageFile`] behind a [`BufferManager`]. Durability discipline:
 //!
-//! * [`SessionStore::put`] writes the whole new chain, then flushes and
+//! * [`SessionStore::put`] and [`SessionStore::remove`] each end in a
+//!   sync, so on return the write survives a crash. Each is its write
+//!   half ([`SessionStore::put_unsynced`],
+//!   [`SessionStore::remove_unsynced`]) followed by
+//!   [`SessionStore::sync`]. A write half puts its pages in the file and
+//!   returns without syncing; a caller that batches several of them, or
+//!   syncs on another thread through a [`SyncHandle`], makes them all
+//!   crash-safe with one sync.
+//! * A put that replaces a live record writes the whole new chain, then
 //!   syncs **before** freeing any pages of the record it replaces — a
 //!   crash at any instant leaves either the old record or the new one
 //!   intact on disk, never neither.
-//! * [`SessionStore::remove`] frees the chain and syncs, so a resumed
-//!   session cannot resurrect with stale state after a later crash.
+//! * A removal rewrites every page of its chain as `FREE`. Freed pages
+//!   are not handed out again until a sync that began after those
+//!   `FREE` headers were written has returned, so a torn write of a
+//!   later chain can never find an old chain's `DATA` pages still valid
+//!   and stitch them into a record that never existed.
 //! * The free list is **not** stored on disk. [`SessionStore::open`]
 //!   rebuilds it — and the token index — by an authoritative scan of
 //!   every page: torn or foreign pages are discarded, broken chains are
@@ -23,9 +34,11 @@ use std::fmt;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::buffer::BufferManager;
-use crate::file::PageFile;
+use crate::file::{FileSyncer, PageFile};
 use crate::page::{
     checksum_mismatch, page_checksums, PageHeader, KIND_DATA, KIND_HEAD, PAGE_HEADER, PAGE_SIZE,
     PAYLOAD_PER_PAGE,
@@ -106,10 +119,54 @@ struct RecordLoc {
 pub struct SessionStore {
     buf: BufferManager,
     index: HashMap<u64, RecordLoc>,
+    /// Pages free for reuse: `FREE` (or never written) on disk.
     free: Vec<u64>,
+    /// Pages a write half freed, each with that write half's number,
+    /// in ascending number order; they join `free` once a sync covers
+    /// the number.
+    pending_free: Vec<(u64, u64)>,
+    /// Write halves completed so far (mirrored in `progress.written`).
+    written: u64,
+    progress: Arc<SyncProgress>,
     /// Byte capacity for live pages (0 = unlimited).
     capacity_bytes: u64,
     next_epoch: u64,
+}
+
+/// How far the page file's syncs have caught up with its writes, shared
+/// by a store and its [`SyncHandle`]s.
+#[derive(Debug, Default)]
+struct SyncProgress {
+    /// The number of the last completed write half: all its pages were
+    /// in the file when the number was stored.
+    written: AtomicU64,
+    /// The highest write-half number a returned sync covers.
+    synced: AtomicU64,
+}
+
+/// Syncs a [`SessionStore`]'s page file from any thread, through a
+/// second descriptor, without the store's `&mut`. A sync covers every
+/// write half completed before it began; once it returns, the pages those
+/// write halves freed become reusable.
+#[derive(Debug)]
+pub struct SyncHandle {
+    file: FileSyncer,
+    progress: Arc<SyncProgress>,
+}
+
+impl SyncHandle {
+    /// Syncs the page file, covering every write half completed before
+    /// the call.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures syncing; nothing counts as covered then.
+    pub fn sync(&self) -> io::Result<()> {
+        let target = self.progress.written.load(Ordering::Acquire);
+        self.file.sync()?;
+        self.progress.synced.fetch_max(target, Ordering::Release);
+        Ok(())
+    }
 }
 
 /// Buffer-pool size in frames (64 pages = 256 KiB), deliberately small so
@@ -237,6 +294,9 @@ impl SessionStore {
             buf: BufferManager::new(file, DEFAULT_FRAMES),
             index: HashMap::new(),
             free: Vec::new(),
+            pending_free: Vec::new(),
+            written: 0,
+            progress: Arc::default(),
             capacity_bytes,
             next_epoch: 1,
         };
@@ -372,10 +432,30 @@ impl SessionStore {
     ///
     /// # Errors
     ///
+    /// As [`SessionStore::put_unsynced`], plus sync failures.
+    pub fn put(
+        &mut self,
+        token: u64,
+        session_id: u64,
+        deadline_unix_ms: u64,
+        blob: &[u8],
+    ) -> Result<(), StoreError> {
+        self.put_unsynced(token, session_id, deadline_unix_ms, blob)?;
+        self.sync()
+    }
+
+    /// The write half of [`SessionStore::put`]: writes the record's
+    /// pages into the file and returns without syncing, so the record
+    /// is crash-safe only once the next sync returns. Replacing a live
+    /// record is the exception: the new chain is synced before the old
+    /// one is freed.
+    ///
+    /// # Errors
+    ///
     /// [`StoreError::Full`] when the write would push live bytes past
     /// the capacity (the existing record under `token`, which the write
     /// replaces, does not count against it); I/O failures otherwise.
-    pub fn put(
+    pub fn put_unsynced(
         &mut self,
         token: u64,
         session_id: u64,
@@ -402,6 +482,7 @@ impl SessionStore {
         self.next_epoch += 1;
 
         // Allocate the chain: free pages first, then grow.
+        self.reclaim();
         let mut chain = Vec::with_capacity(new_pages as usize);
         while (chain.len() as u64) < new_pages {
             match self.free.pop() {
@@ -453,12 +534,16 @@ impl SessionStore {
             self.buf
                 .overwrite_page(page_idx, |page| header.write_summed(payload, sum, page))?;
         }
+        self.buf.write_back()?;
+        self.complete_write();
 
-        // Durability point: the new chain reaches disk before the old
-        // chain is touched. A crash on either side of this line leaves
-        // exactly one valid record for the token (epoch breaks the tie).
-        self.buf.flush_all()?;
-
+        // Durability point of a replacement: the new chain reaches disk
+        // before the old chain is touched. A crash on either side of
+        // this line leaves exactly one valid record for the token
+        // (epoch breaks the tie).
+        if self.index.contains_key(&token) {
+            self.sync()?;
+        }
         let old = self.index.insert(
             token,
             RecordLoc {
@@ -469,6 +554,7 @@ impl SessionStore {
         );
         if let Some(old) = old {
             self.free_chain(&old.pages)?;
+            self.complete_write();
         }
         Ok(())
     }
@@ -542,37 +628,93 @@ impl SessionStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFound`] for unknown tokens; I/O failures.
+    /// As [`SessionStore::remove_unsynced`], plus sync failures.
     pub fn remove(&mut self, token: u64) -> Result<StoreMeta, StoreError> {
+        let meta = self.remove_unsynced(token)?;
+        self.sync()?;
+        Ok(meta)
+    }
+
+    /// The write half of [`SessionStore::remove`]: rewrites the record's
+    /// pages as `FREE` in the file and returns without syncing. Until
+    /// the next sync returns, a crash may bring the record back, and
+    /// its pages are not reused.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] for unknown tokens; I/O failures.
+    pub fn remove_unsynced(&mut self, token: u64) -> Result<StoreMeta, StoreError> {
         let loc = self
             .index
             .remove(&token)
             .ok_or(StoreError::NotFound(token))?;
         self.free_chain(&loc.pages)?;
-        self.buf.flush_all()?;
+        self.complete_write();
         Ok(loc.meta)
     }
 
-    /// Marks every page of a dead chain `FREE` and returns it to the
-    /// free list. Not synced here — a crash before these writes land is
-    /// resolved by the epoch rule at the next open.
+    /// Rewrites every page of a dead chain as `FREE` and queues it for
+    /// reuse once a sync covers the write half now being written.
     fn free_chain(&mut self, chain: &[u64]) -> Result<(), StoreError> {
+        let number = self.written + 1;
         for &page_idx in chain {
             self.buf
                 .overwrite_page(page_idx, |page| PageHeader::free().write_into(&[], page))?;
-            self.free.push(page_idx);
+            self.pending_free.push((number, page_idx));
         }
+        self.buf.write_back()?;
         Ok(())
     }
 
-    /// Flushes and syncs any buffered writes.
+    /// Ends a write half whose pages are all in the file: numbers it,
+    /// so a sync that begins from here on covers it.
+    fn complete_write(&mut self) {
+        self.written += 1;
+        self.progress.written.store(self.written, Ordering::Release);
+    }
+
+    /// Moves the pending frees a returned sync covers to the free list.
+    fn reclaim(&mut self) {
+        let synced = self.progress.synced.load(Ordering::Acquire);
+        let covered = self.pending_free.partition_point(|&(n, _)| n <= synced);
+        self.free
+            .extend(self.pending_free.drain(..covered).map(|(_, page)| page));
+    }
+
+    /// Whether some write half has not been covered by a returned sync.
+    pub fn has_unsynced(&self) -> bool {
+        self.progress.synced.load(Ordering::Acquire) < self.written
+    }
+
+    /// Syncs the page file if any write half is not yet covered, then
+    /// frees the pages that removals were holding back.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.buf.flush_all()?;
+        self.buf.write_back()?;
+        if self.has_unsynced() {
+            self.buf.sync()?;
+            self.progress
+                .synced
+                .fetch_max(self.written, Ordering::Release);
+        }
+        self.reclaim();
         Ok(())
+    }
+
+    /// A [`SyncHandle`] that syncs this store's page file from another
+    /// thread.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures duplicating the file descriptor.
+    pub fn sync_handle(&self) -> io::Result<SyncHandle> {
+        Ok(SyncHandle {
+            file: self.buf.syncer()?,
+            progress: Arc::clone(&self.progress),
+        })
     }
 }
 
@@ -664,6 +806,82 @@ mod tests {
         }
         let store = SessionStore::open(&path, 0).unwrap();
         assert!(store.is_empty(), "removed record must not resurrect");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A crash image: the page file as a sync left it. Copied right
+    /// after the sync returns, it drops every write made later, which
+    /// is what a power loss may do to writes no sync has covered.
+    fn crash_image(path: &std::path::Path, name: &str) -> std::path::PathBuf {
+        let image = path.with_file_name(format!("{name}.image"));
+        std::fs::copy(path, &image).unwrap();
+        image
+    }
+
+    #[test]
+    fn write_halves_then_one_sync_reopen_with_every_record() {
+        let path = tmp("halves");
+        let _ = std::fs::remove_file(&path);
+        let mut store = SessionStore::open(&path, 0).unwrap();
+        let handle = store.sync_handle().unwrap();
+        let blobs: Vec<Vec<u8>> = (0..6u8)
+            .map(|t| blob(100 + t as usize * PAYLOAD_PER_PAGE, t))
+            .collect();
+        for (t, b) in blobs.iter().enumerate() {
+            store.put_unsynced(t as u64, t as u64, 0, b).unwrap();
+        }
+        assert!(store.has_unsynced());
+        // One sync, on another thread, covers all six write halves.
+        std::thread::scope(|s| s.spawn(|| handle.sync().unwrap()).join().unwrap());
+        assert!(!store.has_unsynced());
+        let image = crash_image(&path, "halves");
+        // Later unsynced writes are not in the image.
+        store.remove_unsynced(0).unwrap();
+        store.put_unsynced(9, 9, 0, &blob(50, 9)).unwrap();
+        assert!(store.has_unsynced());
+
+        let mut recovered = SessionStore::open(&image, 0).unwrap();
+        assert_eq!(recovered.len(), blobs.len());
+        for (t, b) in blobs.iter().enumerate() {
+            assert_eq!(&recovered.get(t as u64).unwrap().1, b, "token {t}");
+        }
+        std::fs::remove_file(&image).unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn pages_freed_by_an_unsynced_removal_wait_for_the_next_sync() {
+        let path = tmp("pending");
+        let _ = std::fs::remove_file(&path);
+        let mut store = SessionStore::open(&path, 0).unwrap();
+        let handle = store.sync_handle().unwrap();
+        let len = PAYLOAD_PER_PAGE * 2;
+        store.put(1, 1, 0, &blob(len, 1)).unwrap();
+        let freed = store.index[&1].pages.clone();
+        store.remove_unsynced(1).unwrap();
+        // A re-put of the same token before any sync lands on fresh
+        // pages: the freed ones still hold old DATA a crash could keep.
+        store.put_unsynced(1, 1, 0, &blob(len, 2)).unwrap();
+        let fresh = store.index[&1].pages.clone();
+        assert!(
+            fresh.iter().all(|p| !freed.contains(p)),
+            "freed pages {freed:?} reused as {fresh:?} before a sync"
+        );
+        let image = crash_image(&path, "pending");
+        // After a sync the freed pages are reusable again.
+        handle.sync().unwrap();
+        let pages = store.buf.page_count();
+        store.put_unsynced(2, 2, 0, &blob(len, 3)).unwrap();
+        assert_eq!(store.buf.page_count(), pages, "no growth once synced");
+        let mut reused = store.index[&2].pages.clone();
+        reused.sort_unstable();
+        assert_eq!(reused, freed);
+        // The crash image taken between the removal and its sync holds
+        // token 1 whole, old or new, never a mix of the two.
+        let mut recovered = SessionStore::open(&image, 0).unwrap();
+        let (_, back) = recovered.get(1).unwrap();
+        assert!(back == blob(len, 1) || back == blob(len, 2));
+        std::fs::remove_file(&image).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 
