@@ -11,8 +11,8 @@
 //! the write half (`put_unsynced`) and then one sync for all of them, as
 //! the server's background spill and its durability thread do.
 //!
-//! Reported per leg: sessions/s and MB/s, plus the buffer pool's
-//! hit/miss split for the load leg. Results go to `BENCH_store.json`.
+//! Reported per leg: sessions/s and MB/s. Results go to
+//! `BENCH_store.json`.
 
 use std::time::Instant;
 
@@ -126,12 +126,11 @@ fn main() {
         spill_mb / group_best
     );
 
-    // Load: reopen (cold buffer pool) + get + decode for each session —
-    // the cost of a RESUME that misses the hot tier.
+    // Load: reopen + get + decode for each session — the cost of a
+    // RESUME that misses the hot tier.
     let mut load_best = f64::INFINITY;
-    let (mut hits, mut misses) = (0u64, 0u64);
     for _ in 0..REPS {
-        let mut store = SessionStore::open(&path, 0).expect("reopen store");
+        let store = SessionStore::open(&path, 0).expect("reopen store");
         let t0 = Instant::now();
         for token in 0..SESSIONS {
             let (_meta, bytes) = store.get(token).expect("get checkpoint");
@@ -139,17 +138,15 @@ fn main() {
             assert_eq!(decoded.branches, checkpoint.branches, "payload integrity");
         }
         load_best = load_best.min(t0.elapsed().as_secs_f64());
-        hits = store.page_hits();
-        misses = store.page_misses();
     }
     println!(
-        "load:  {load_best:8.3}s  ({:.1} sessions/s, {:.1} MB/s; {hits} page hits / {misses} misses)",
+        "load:  {load_best:8.3}s  ({:.1} sessions/s, {:.1} MB/s)",
         SESSIONS as f64 / load_best,
         spill_mb / load_best
     );
 
     let json = format!(
-        "{{\n  \"trace_len\": {len},\n  \"sessions\": {SESSIONS},\n  \"blob_bytes\": {},\n  \"reps\": {REPS},\n  \"spill\": {{\"wall_seconds\": {spill_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"spill_group_commit\": {{\"wall_seconds\": {group_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"load\": {{\"wall_seconds\": {load_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"load_page_hits\": {hits},\n  \"load_page_misses\": {misses}\n}}\n",
+        "{{\n  \"trace_len\": {len},\n  \"sessions\": {SESSIONS},\n  \"blob_bytes\": {},\n  \"reps\": {REPS},\n  \"spill\": {{\"wall_seconds\": {spill_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"spill_group_commit\": {{\"wall_seconds\": {group_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"load\": {{\"wall_seconds\": {load_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}}\n}}\n",
         blob.len(),
         SESSIONS as f64 / spill_best,
         spill_mb / spill_best,

@@ -746,7 +746,7 @@ fn cmd_store(args: &Args) -> CliResult {
         );
     }
     // Capacity 0 = no byte budget: inspection never needs to write.
-    let mut store = cira_store::SessionStore::open(std::path::Path::new(path), 0)?;
+    let store = cira_store::SessionStore::open(std::path::Path::new(path), 0)?;
     let bytes = std::fs::metadata(path)?.len();
     let now_ms = cira_serve::park::unix_now_ms();
     println!("store:        {path}");

@@ -203,9 +203,6 @@ metrics_block! {
             "Checkpoint records currently in the disk tier";
         Gauge park_disk_bytes, "server_park_disk_bytes",
             "Bytes of live checkpoint pages in the disk tier";
-        Gauge store_page_hits, "server_store_page_hits", "Store buffer-pool page hits";
-        Gauge store_page_misses, "server_store_page_misses",
-            "Store buffer-pool page misses (disk reads)";
         Gauge store_recovery_ms, "server_store_recovery_ms",
             "Wall-clock milliseconds of the startup park recovery scan";
         Counter park_bg_spilled, "server_park_bg_spilled_total",
@@ -484,8 +481,6 @@ mod tests {
         m.park_store_full.inc();
         m.park_disk_records.set(7);
         m.park_disk_bytes.set(7 * 4096);
-        m.store_page_hits.set(100);
-        m.store_page_misses.set(9);
         m.protocol_error(code::STORE_FULL);
         let snap = m.snapshot();
         let get = |name: &str| snap.iter().find(|(n, _)| n == name).unwrap().1;
@@ -494,8 +489,6 @@ mod tests {
         assert_eq!(get("park_store_full"), 1);
         assert_eq!(get("park_disk_records"), 7);
         assert_eq!(get("park_disk_bytes"), 7 * 4096);
-        assert_eq!(get("store_page_hits"), 100);
-        assert_eq!(get("store_page_misses"), 9);
         assert_eq!(get("protocol_errors_store_full"), 1);
         let reg = Registry::new("cira");
         m.register(&reg);
@@ -505,8 +498,6 @@ mod tests {
         assert_eq!(doc.value("cira_server_park_loaded_total"), Some(2.0));
         assert_eq!(doc.value("cira_server_park_store_full_total"), Some(1.0));
         assert_eq!(doc.value("cira_server_park_disk_records"), Some(7.0));
-        assert_eq!(doc.value("cira_server_store_page_hits"), Some(100.0));
-        assert_eq!(doc.value("cira_server_store_page_misses"), Some(9.0));
         assert!(text.contains("cira_server_protocol_errors_total{code=\"store_full\"} 1"));
     }
 

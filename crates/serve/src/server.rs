@@ -294,8 +294,8 @@ impl Shared {
         }
     }
 
-    /// Refreshes the disk-tier gauges (record/byte footprint and the
-    /// buffer pool's hit/miss counters) after any park mutation.
+    /// Refreshes the disk-tier gauges (record and byte footprint) after
+    /// any park mutation.
     fn publish_store_gauges(&self) {
         if !self.park.has_disk() {
             return;
@@ -306,9 +306,6 @@ impl Shared {
         self.metrics
             .park_disk_bytes
             .set(self.park.disk_bytes() as i64);
-        let (hits, misses) = self.park.page_cache_stats();
-        self.metrics.store_page_hits.set(hits as i64);
-        self.metrics.store_page_misses.set(misses as i64);
     }
 
     /// Applies a [`crate::park::ParkOutcome`]'s counter deltas: spills

@@ -428,9 +428,6 @@ fn park_pressure_body(shards: usize) {
         "disk reload is bit-identical"
     );
     assert!(metric(&handle, "park_loaded") >= 1);
-    let hits = metric(&handle, "store_page_hits");
-    let misses = metric(&handle, "store_page_misses");
-    assert!(hits + misses > 0, "page cache saw traffic");
 
     client.goodbye().expect("goodbye");
     handle.shutdown_and_join();

@@ -51,8 +51,6 @@ const STATS: &[&str] = &[
     "park_store_full",
     "park_disk_records",
     "park_disk_bytes",
-    "store_page_hits",
-    "store_page_misses",
     "store_recovery_ms",
     "park_bg_spilled",
 ];
@@ -120,10 +118,6 @@ const EXPOSITION: &str = "\
 # TYPE cira_server_park_disk_records gauge
 # HELP cira_server_park_disk_bytes Bytes of live checkpoint pages in the disk tier
 # TYPE cira_server_park_disk_bytes gauge
-# HELP cira_server_store_page_hits Store buffer-pool page hits
-# TYPE cira_server_store_page_hits gauge
-# HELP cira_server_store_page_misses Store buffer-pool page misses (disk reads)
-# TYPE cira_server_store_page_misses gauge
 # HELP cira_server_store_recovery_ms Wall-clock milliseconds of the startup park recovery scan
 # TYPE cira_server_store_recovery_ms gauge
 # HELP cira_server_park_bg_spilled_total Hot parked sessions written to disk by the background spiller

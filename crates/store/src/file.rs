@@ -1,4 +1,4 @@
-//! The page file: raw page I/O beneath the buffer manager.
+//! The page file: raw page I/O beneath the session store.
 //!
 //! A [`PageFile`] is a flat array of [`crate::page::PAGE_SIZE`]
 //! pages addressed by index. Page 0 is the **superblock**:
@@ -17,10 +17,11 @@
 //! from deleted records is reused through the in-memory free list that
 //! [`crate::store::SessionStore`] rebuilds on open.
 //!
-//! Every page is read and written at its offset (`pread(2)` and
-//! `pwrite(2)`): one system call per page, and no shared file cursor.
-//! A [`FileSyncer`] is a second descriptor on the same file that can
-//! only sync it, so the sync can run on another thread.
+//! Pages are read and written at their offset (`pread(2)` and
+//! `pwrite(2)`), a run of consecutive pages with one system call, and
+//! no shared file cursor. A [`FileSyncer`] is a second descriptor on the
+//! same file that can only sync it, so the sync can run on another
+//! thread.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -34,7 +35,8 @@ use crate::page::{fnv64, PAGE_SIZE};
 /// A flight-recorder span for one page-I/O call, or `None` while the
 /// recorder is disabled. The span inherits the ambient trace context
 /// (set by the shard driving the park/resume), and the aux word carries
-/// the page index so dumps show *which* page a slow I/O touched.
+/// the run's first page index so dumps show *which* pages a slow I/O
+/// touched.
 fn io_span(stage: Stage) -> Option<trace::Span> {
     trace::enabled().then(|| trace::Span::begin_ctx(stage))
 }
@@ -136,61 +138,64 @@ impl PageFile {
         self.pages
     }
 
-    /// Reads page `index` into `buf` (`PAGE_SIZE` bytes) with one
-    /// positioned read. Because it takes `&self`, many threads can read
-    /// disjoint pages of one file at once, as the parallel open-time
-    /// recovery scan does.
+    /// Reads the run of consecutive pages that starts at `first` into
+    /// `buf`, a whole number of pages long, with one positioned read.
+    /// Because it takes `&self`, many threads can read disjoint pages of
+    /// one file at once, as the parallel open-time recovery scan does.
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] when `index` is out of range;
-    /// I/O failures otherwise.
+    /// [`io::ErrorKind::InvalidInput`] when the run does not lie inside
+    /// the file; I/O failures otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is not exactly one page.
-    pub fn read_page(&self, index: u64, buf: &mut [u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        if index >= self.pages {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("page {index} out of range ({} pages)", self.pages),
-            ));
-        }
+    /// Panics if `buf` is not a whole number of pages.
+    pub fn read_pages(&self, first: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.check_run(first, buf.len())?;
         let span = io_span(Stage::PageRead);
-        let r = self.file.read_exact_at(buf, index * PAGE_SIZE as u64);
+        let r = self.file.read_exact_at(buf, first * PAGE_SIZE as u64);
         if let Some(span) = span {
-            span.end_with(index);
+            span.end_with(first);
         }
         r
     }
 
-    /// Writes page `index` from `buf` (`PAGE_SIZE` bytes) with one
-    /// positioned write. The page must already exist — use
-    /// [`PageFile::grow`] to extend the file.
+    /// Writes `buf`, a whole number of pages long, over the run of
+    /// consecutive pages that starts at `first` with one positioned
+    /// write. The pages must already exist — use [`PageFile::grow`] to
+    /// extend the file.
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] when `index` is out of range;
-    /// I/O failures otherwise.
+    /// [`io::ErrorKind::InvalidInput`] when the run does not lie inside
+    /// the file; I/O failures otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `buf` is not exactly one page.
-    pub fn write_page(&mut self, index: u64, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), PAGE_SIZE);
-        if index >= self.pages {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("page {index} out of range ({} pages)", self.pages),
-            ));
-        }
+    /// Panics if `buf` is not a whole number of pages.
+    pub fn write_pages(&mut self, first: u64, buf: &[u8]) -> io::Result<()> {
+        self.check_run(first, buf.len())?;
         let span = io_span(Stage::PageWrite);
-        let r = self.file.write_all_at(buf, index * PAGE_SIZE as u64);
+        let r = self.file.write_all_at(buf, first * PAGE_SIZE as u64);
         if let Some(span) = span {
-            span.end_with(index);
+            span.end_with(first);
         }
         r
+    }
+
+    /// Refuses a run of `len` bytes from page `first` that is not whole
+    /// pages or does not lie inside the file.
+    fn check_run(&self, first: u64, len: usize) -> io::Result<()> {
+        assert_eq!(len % PAGE_SIZE, 0, "a run is a whole number of pages");
+        let end = first.saturating_add((len / PAGE_SIZE) as u64);
+        if end > self.pages {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("pages {first}..{end} out of range ({} pages)", self.pages),
+            ));
+        }
+        Ok(())
     }
 
     /// Appends `count` zeroed pages, returning the index of the first.
@@ -283,14 +288,14 @@ mod tests {
             token: 42,
         }
         .write_into(b"data", &mut page);
-        pf.write_page(1, &page).unwrap();
+        pf.write_pages(1, &page).unwrap();
         pf.sync().unwrap();
         drop(pf);
 
         let pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.page_count(), 3);
         let mut back = vec![0u8; PAGE_SIZE];
-        pf.read_page(1, &mut back).unwrap();
+        pf.read_pages(1, &mut back).unwrap();
         assert_eq!(back, page);
         std::fs::remove_file(&path).unwrap();
     }
@@ -300,8 +305,14 @@ mod tests {
         let path = tmp("range");
         let mut pf = PageFile::create(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
-        assert!(pf.read_page(1, &mut buf).is_err());
-        assert!(pf.write_page(9, &buf).is_err());
+        assert!(pf.read_pages(1, &mut buf).is_err());
+        assert!(pf.write_pages(9, &buf).is_err());
+        // A run that starts inside the file but ends past it.
+        pf.grow(2).unwrap();
+        let mut run = vec![0u8; 2 * PAGE_SIZE];
+        assert!(pf.write_pages(2, &run).is_err());
+        assert!(pf.read_pages(2, &mut run).is_err());
+        pf.write_pages(1, &run).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -320,7 +331,7 @@ mod tests {
                 token: i,
             }
             .write_into(&[i as u8], &mut page);
-            pf.write_page(i, &page).unwrap();
+            pf.write_pages(i, &page).unwrap();
             images.push(page);
         }
         // Shared-reference reads from several threads at once.
@@ -332,7 +343,7 @@ mod tests {
                     let mut buf = vec![0u8; PAGE_SIZE];
                     for i in 0..8u64 {
                         let idx = (i + t) % 8;
-                        pf.read_page(idx + 1, &mut buf).unwrap();
+                        pf.read_pages(idx + 1, &mut buf).unwrap();
                         assert_eq!(buf, images[idx as usize]);
                     }
                 });

@@ -1,7 +1,7 @@
 //! # cira-store
 //!
-//! A durable, buffer-managed session store: the disk tier beneath
-//! `cira-serve`'s session park (rev 1.3 of the `CIRS` service).
+//! A durable session store: the disk tier beneath `cira-serve`'s
+//! session park (rev 1.3 of the `CIRS` service).
 //!
 //! Layering, bottom up:
 //!
@@ -9,20 +9,21 @@
 //!   header (kind, payload length, chain pointer, owning token) so torn
 //!   writes are detected, never half-trusted;
 //! * [`mod@file`] — [`file::PageFile`], raw page I/O with a validated
-//!   superblock (magic, version, page size);
-//! * [`buffer`] — [`buffer::BufferManager`], a bounded pool of pinned
-//!   page frames with write-back and second-chance clock eviction;
+//!   superblock (magic, version, page size), one positioned read or
+//!   write per run of consecutive pages;
 //! * [`store`] — [`store::SessionStore`], checkpoint blobs keyed by
 //!   resume token with park metadata (session id, absolute deadline,
-//!   write epoch), write-ahead-of-free durability, and open-time scan
-//!   recovery;
+//!   write epoch), chains allocated in ascending page order and moved
+//!   one run per system call, write-ahead-of-free durability, and
+//!   open-time scan recovery;
 //! * [`cird`] — [`cird::Checkpoint`], the versioned `CIRD` codec for a
 //!   complete streaming-session state (specs, counters, BHR, predictor
 //!   and mechanism state blobs, bucket cells), restoring which is
 //!   **bit-identical** to never having stopped.
 //!
 //! Everything is std-only: no registry dependencies, no memory-mapped
-//! I/O, no background threads. Callers own locking; `cira-serve` keeps
+//! I/O, no page cache of its own (reads go to the OS page cache), no
+//! background threads. Callers own locking; `cira-serve` keeps
 //! the store behind the same mutex as the hot park tier, and syncs it
 //! from its own durability thread through a [`store::SyncHandle`],
 //! which needs no lock.
@@ -56,13 +57,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod buffer;
 pub mod cird;
 pub mod file;
 pub mod page;
 pub mod store;
 
-pub use buffer::BufferManager;
 pub use cird::Checkpoint;
 pub use file::PageFile;
 pub use store::{PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta, SyncHandle};

@@ -3,7 +3,9 @@
 //! A [`SessionStore`] maps `u64` resume tokens to opaque checkpoint
 //! blobs plus park metadata (session id, absolute expiry deadline, a
 //! monotonic epoch), laid out as chains of checksummed pages in one
-//! [`PageFile`] behind a [`BufferManager`]. Durability discipline:
+//! [`PageFile`]. A chain takes its pages in ascending order and moves
+//! through one buffer of page images, with one read or write per run of
+//! consecutive pages. Durability discipline:
 //!
 //! * [`SessionStore::put`] and [`SessionStore::remove`] each end in a
 //!   sync, so on return the write survives a crash. Each is its write
@@ -37,7 +39,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::buffer::BufferManager;
 use crate::file::{FileSyncer, PageFile};
 use crate::page::{
     checksum_mismatch, page_checksums, PageHeader, KIND_DATA, KIND_HEAD, PAGE_HEADER, PAGE_SIZE,
@@ -117,7 +118,7 @@ struct RecordLoc {
 /// A durable token -> checkpoint-blob store over one page file.
 #[derive(Debug)]
 pub struct SessionStore {
-    buf: BufferManager,
+    file: PageFile,
     index: HashMap<u64, RecordLoc>,
     /// Pages free for reuse: `FREE` (or never written) on disk.
     free: Vec<u64>,
@@ -169,10 +170,6 @@ impl SyncHandle {
     }
 }
 
-/// Buffer-pool size in frames (64 pages = 256 KiB), deliberately small so
-/// the store's working set, not the cache, bounds memory.
-pub const DEFAULT_FRAMES: usize = 64;
-
 /// Pages per recovery-scan job (4 MiB of file): coarse enough that a
 /// job amortizes its dispatch, fine enough that a multi-GiB park file
 /// still fans out over every worker.
@@ -200,9 +197,8 @@ struct Scanned {
 }
 
 impl SessionStore {
-    /// Opens (or creates) the store at `path` over a buffer pool of
-    /// [`DEFAULT_FRAMES`] frames, then scans every page to rebuild the
-    /// token index and free list.
+    /// Opens (or creates) the store at `path`, then scans every page to
+    /// rebuild the token index and free list.
     ///
     /// # Errors
     ///
@@ -224,9 +220,8 @@ impl SessionStore {
     /// simply treated as unreadable (their pages land on the free list),
     /// so a conforming executor calls the scanner on **every** range.
     /// The scan only reads page headers (positioned reads, no shared
-    /// cursor, buffer pool untouched); the chain walk that stitches
-    /// records together stays sequential — it is index arithmetic, not
-    /// I/O.
+    /// cursor); the chain walk that stitches records together stays
+    /// sequential — it is index arithmetic, not I/O.
     ///
     /// # Errors
     ///
@@ -258,7 +253,7 @@ impl SessionStore {
             };
             let mut data = vec![0u8; PAGE_SIZE];
             for idx in range {
-                if let Err(e) = file.read_page(idx, &mut data) {
+                if let Err(e) = file.read_pages(idx, &mut data) {
                     chunk.err = Some(e);
                     return chunk;
                 }
@@ -291,7 +286,7 @@ impl SessionStore {
         }
 
         let mut store = Self {
-            buf: BufferManager::new(file, DEFAULT_FRAMES),
+            file,
             index: HashMap::new(),
             free: Vec::new(),
             pending_free: Vec::new(),
@@ -396,21 +391,6 @@ impl SessionStore {
         self.capacity_bytes
     }
 
-    /// Buffer-pool page hits.
-    pub fn page_hits(&self) -> u64 {
-        self.buf.hits()
-    }
-
-    /// Buffer-pool page misses (disk reads).
-    pub fn page_misses(&self) -> u64 {
-        self.buf.misses()
-    }
-
-    /// Buffer-pool evictions.
-    pub fn page_evictions(&self) -> u64 {
-        self.buf.evictions()
-    }
-
     /// Every live record's token and metadata, in no particular order.
     pub fn entries(&self) -> Vec<(u64, StoreMeta)> {
         self.index.iter().map(|(&t, r)| (t, r.meta)).collect()
@@ -481,24 +461,22 @@ impl SessionStore {
         };
         self.next_epoch += 1;
 
-        // Allocate the chain: free pages first, then grow.
+        // Allocate the chain: free pages first, then grow, in ascending
+        // order so that consecutive pages make one run.
         self.reclaim();
-        let mut chain = Vec::with_capacity(new_pages as usize);
-        while (chain.len() as u64) < new_pages {
-            match self.free.pop() {
-                Some(p) => chain.push(p),
-                None => {
-                    let remaining = new_pages - chain.len() as u64;
-                    let first = self.buf.grow(remaining)?;
-                    chain.extend(first..first + remaining);
-                }
-            }
+        let mut chain = self
+            .free
+            .split_off(self.free.len().saturating_sub(new_pages as usize));
+        let grown = new_pages - chain.len() as u64;
+        if grown > 0 {
+            let first = self.file.grow(grown)?;
+            chain.extend(first..first + grown);
         }
+        chain.sort_unstable();
 
         // The head page carries the record header and the blob's first
         // bytes, each further page the next slice of the blob; `next`
-        // pointers are known upfront. Every page is overwritten whole, so
-        // none is read first.
+        // pointers are known upfront.
         let mut rec = [0u8; REC_HEADER];
         rec[0..8].copy_from_slice(&meta.session_id.to_le_bytes());
         rec[8..16].copy_from_slice(&meta.deadline_unix_ms.to_le_bytes());
@@ -522,19 +500,21 @@ impl SessionStore {
                 token,
             })
             .collect();
-        let images: Vec<_> = headers
+        let inputs: Vec<_> = headers
             .iter()
             .map(PageHeader::image)
             .zip(payloads.iter().copied())
             .collect();
-        let sums = page_checksums(&images);
-        for (((&page_idx, header), payload), sum) in
-            chain.iter().zip(&headers).zip(&payloads).zip(sums)
+        let mut images = vec![0u8; chain.len() * PAGE_SIZE];
+        for (((page, header), payload), sum) in images
+            .chunks_exact_mut(PAGE_SIZE)
+            .zip(&headers)
+            .zip(&payloads)
+            .zip(page_checksums(&inputs))
         {
-            self.buf
-                .overwrite_page(page_idx, |page| header.write_summed(payload, sum, page))?;
+            header.write_summed(payload, sum, page);
         }
-        self.buf.write_back()?;
+        self.write_chain(&chain, &images)?;
         self.complete_write();
 
         // Durability point of a replacement: the new chain reaches disk
@@ -566,51 +546,40 @@ impl SessionStore {
     /// [`StoreError::NotFound`] for unknown tokens;
     /// [`StoreError::Corrupt`] when a page fails validation (bytes rotted
     /// since open); I/O failures otherwise.
-    pub fn get(&mut self, token: u64) -> Result<(StoreMeta, Vec<u8>), StoreError> {
-        let loc = self
-            .index
-            .get(&token)
-            .cloned()
-            .ok_or(StoreError::NotFound(token))?;
-        // Read the whole chain, then check every page's checksum four
-        // pages at a time. `read` keeps each page's header image, stored
-        // checksum and payload span in `raw`, which holds the head page's
-        // record header and then the blob.
-        let mut raw = Vec::with_capacity(REC_HEADER + loc.blob_len as usize);
-        let mut read = Vec::with_capacity(loc.pages.len());
-        for &page_idx in &loc.pages {
-            let start = raw.len();
-            let (header, stored) = self
-                .buf
-                .with_page(page_idx, |data| -> Result<_, String> {
-                    let (header, stored) = PageHeader::read_unverified(data)?;
-                    if header.token != token {
-                        return Err(format!(
-                            "page {page_idx} belongs to token {:#018x}",
-                            header.token
-                        ));
-                    }
-                    raw.extend_from_slice(
-                        &data[PAGE_HEADER..PAGE_HEADER + header.payload_len as usize],
-                    );
-                    Ok((header, stored))
-                })?
-                .map_err(StoreError::Corrupt)?;
-            read.push((header.image(), stored, start..raw.len()));
-        }
-        let inputs: Vec<_> = read
-            .iter()
-            .map(|(image, _, span)| (*image, &raw[span.clone()]))
-            .collect();
-        for ((&page_idx, (_, stored, _)), computed) in
-            loc.pages.iter().zip(&read).zip(page_checksums(&inputs))
-        {
-            if *stored != computed {
+    pub fn get(&self, token: u64) -> Result<(StoreMeta, Vec<u8>), StoreError> {
+        let loc = self.index.get(&token).ok_or(StoreError::NotFound(token))?;
+        // Read the whole chain's page images, then check every page's
+        // checksum four pages at a time, in that buffer.
+        let mut images = vec![0u8; loc.pages.len() * PAGE_SIZE];
+        self.read_chain(&loc.pages, &mut images)?;
+        let mut inputs = Vec::with_capacity(loc.pages.len());
+        let mut stored = Vec::with_capacity(loc.pages.len());
+        for (&page_idx, page) in loc.pages.iter().zip(images.chunks_exact(PAGE_SIZE)) {
+            let (header, sum) = PageHeader::read_unverified(page).map_err(StoreError::Corrupt)?;
+            if header.token != token {
                 return Err(StoreError::Corrupt(format!(
-                    "page {page_idx}: {}",
-                    checksum_mismatch(*stored, computed)
+                    "page {page_idx} belongs to token {:#018x}",
+                    header.token
                 )));
             }
+            let payload = &page[PAGE_HEADER..PAGE_HEADER + header.payload_len as usize];
+            inputs.push((header.image(), payload));
+            stored.push(sum);
+        }
+        for ((&page_idx, stored), computed) in
+            loc.pages.iter().zip(stored).zip(page_checksums(&inputs))
+        {
+            if stored != computed {
+                return Err(StoreError::Corrupt(format!(
+                    "page {page_idx}: {}",
+                    checksum_mismatch(stored, computed)
+                )));
+            }
+        }
+        // The head page's record header, then the blob.
+        let mut raw = Vec::with_capacity(REC_HEADER + loc.blob_len as usize);
+        for (_, payload) in inputs {
+            raw.extend_from_slice(payload);
         }
         if raw.len() != REC_HEADER + loc.blob_len as usize {
             return Err(StoreError::Corrupt(format!(
@@ -656,13 +625,34 @@ impl SessionStore {
     /// Rewrites every page of a dead chain as `FREE` and queues it for
     /// reuse once a sync covers the write half now being written.
     fn free_chain(&mut self, chain: &[u64]) -> Result<(), StoreError> {
+        let mut free = [0u8; PAGE_SIZE];
+        PageHeader::free().write_into(&[], &mut free);
+        self.write_chain(chain, &free.repeat(chain.len()))?;
         let number = self.written + 1;
-        for &page_idx in chain {
-            self.buf
-                .overwrite_page(page_idx, |page| PageHeader::free().write_into(&[], page))?;
-            self.pending_free.push((number, page_idx));
+        self.pending_free
+            .extend(chain.iter().map(|&page_idx| (number, page_idx)));
+        Ok(())
+    }
+
+    /// Writes a chain's page images, in chain order, with one write per
+    /// run of consecutive pages.
+    fn write_chain(&mut self, chain: &[u64], mut images: &[u8]) -> io::Result<()> {
+        for run in runs(chain) {
+            let (head, rest) = images.split_at(run.len() * PAGE_SIZE);
+            self.file.write_pages(run[0], head)?;
+            images = rest;
         }
-        self.buf.write_back()?;
+        Ok(())
+    }
+
+    /// Reads a chain's page images, in chain order, with one read per
+    /// run of consecutive pages.
+    fn read_chain(&self, chain: &[u64], mut images: &mut [u8]) -> io::Result<()> {
+        for run in runs(chain) {
+            let (head, rest) = std::mem::take(&mut images).split_at_mut(run.len() * PAGE_SIZE);
+            self.file.read_pages(run[0], head)?;
+            images = rest;
+        }
         Ok(())
     }
 
@@ -693,9 +683,8 @@ impl SessionStore {
     ///
     /// I/O failures.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.buf.write_back()?;
         if self.has_unsynced() {
-            self.buf.sync()?;
+            self.file.sync()?;
             self.progress
                 .synced
                 .fetch_max(self.written, Ordering::Release);
@@ -712,10 +701,15 @@ impl SessionStore {
     /// I/O failures duplicating the file descriptor.
     pub fn sync_handle(&self) -> io::Result<SyncHandle> {
         Ok(SyncHandle {
-            file: self.buf.syncer()?,
+            file: self.file.syncer()?,
             progress: Arc::clone(&self.progress),
         })
     }
+}
+
+/// A chain's runs of consecutive ascending pages, in chain order.
+fn runs(chain: &[u64]) -> impl Iterator<Item = &[u64]> {
+    chain.chunk_by(|&a, &b| b == a + 1)
 }
 
 #[cfg(test)]
@@ -762,7 +756,7 @@ mod tests {
             let mut store = SessionStore::open(&path, 0).unwrap();
             store.put(77, 7, 123_456, &big).unwrap();
         } // dropped without any explicit close: put already synced
-        let mut store = SessionStore::open(&path, 0).unwrap();
+        let store = SessionStore::open(&path, 0).unwrap();
         assert_eq!(store.len(), 1);
         let (meta, back) = store.get(77).unwrap();
         assert_eq!(meta.session_id, 7);
@@ -781,10 +775,10 @@ mod tests {
         // disk before the old one is freed. The next replacement then
         // fits entirely in the freed pages.
         store.put(5, 1, 0, &blob(9_000, 5)).unwrap();
-        let pages_after_second = store.buf.page_count();
+        let pages_after_second = store.file.page_count();
         store.put(5, 1, 0, &blob(9_000, 9)).unwrap();
         assert_eq!(
-            store.buf.page_count(),
+            store.file.page_count(),
             pages_after_second,
             "steady-state replacement reuses freed pages instead of growing"
         );
@@ -840,7 +834,7 @@ mod tests {
         store.put_unsynced(9, 9, 0, &blob(50, 9)).unwrap();
         assert!(store.has_unsynced());
 
-        let mut recovered = SessionStore::open(&image, 0).unwrap();
+        let recovered = SessionStore::open(&image, 0).unwrap();
         assert_eq!(recovered.len(), blobs.len());
         for (t, b) in blobs.iter().enumerate() {
             assert_eq!(&recovered.get(t as u64).unwrap().1, b, "token {t}");
@@ -870,15 +864,15 @@ mod tests {
         let image = crash_image(&path, "pending");
         // After a sync the freed pages are reusable again.
         handle.sync().unwrap();
-        let pages = store.buf.page_count();
+        let pages = store.file.page_count();
         store.put_unsynced(2, 2, 0, &blob(len, 3)).unwrap();
-        assert_eq!(store.buf.page_count(), pages, "no growth once synced");
+        assert_eq!(store.file.page_count(), pages, "no growth once synced");
         let mut reused = store.index[&2].pages.clone();
         reused.sort_unstable();
         assert_eq!(reused, freed);
         // The crash image taken between the removal and its sync holds
         // token 1 whole, old or new, never a mix of the two.
-        let mut recovered = SessionStore::open(&image, 0).unwrap();
+        let recovered = SessionStore::open(&image, 0).unwrap();
         let (_, back) = recovered.get(1).unwrap();
         assert!(back == blob(len, 1) || back == blob(len, 2));
         std::fs::remove_file(&image).unwrap();
@@ -943,7 +937,7 @@ mod tests {
         // Pages 1..=6 hold the chain; flip one payload byte of the head,
         // a middle page and the short last page, each after a clean open.
         for page in [1, 4, 6] {
-            let mut store = SessionStore::open(&path, 0).unwrap();
+            let store = SessionStore::open(&path, 0).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
             let at = page * PAGE_SIZE + PAGE_HEADER + REC_HEADER + 5;
             bytes[at] ^= 0x10;
@@ -956,7 +950,7 @@ mod tests {
             bytes[at] ^= 0x10;
             std::fs::write(&path, &bytes).unwrap();
         }
-        let mut store = SessionStore::open(&path, 0).unwrap();
+        let store = SessionStore::open(&path, 0).unwrap();
         assert_eq!(store.get(8).unwrap().1, record);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1007,31 +1001,192 @@ mod tests {
         after.extend_from_slice(&before[PAGE_SIZE..2 * PAGE_SIZE]);
         std::fs::write(&path, &after).unwrap();
 
-        let mut store = SessionStore::open(&path, 0).unwrap();
+        let store = SessionStore::open(&path, 0).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(6).unwrap().1, new, "higher epoch wins");
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Blob bytes that fill a two-page chain.
+    const TWO_PAGES: usize = HEAD_CAPACITY + PAYLOAD_PER_PAGE;
+
     #[test]
-    fn page_cache_counters_move() {
-        let path = tmp("cache");
+    fn chains_take_their_pages_in_ascending_order() {
+        let path = tmp("ascending");
         let _ = std::fs::remove_file(&path);
         let mut store = SessionStore::open(&path, 0).unwrap();
-        // A head page plus two more per record: 40 records overflow the pool.
-        let records = 40u64;
-        assert!(3 * records as usize > DEFAULT_FRAMES);
-        for t in 0..records {
-            let three_pages = blob(PAYLOAD_PER_PAGE * 2, t as u8);
-            store.put(t, t, 0, &three_pages).unwrap();
+        store.put(1, 1, 0, &blob(TWO_PAGES, 1)).unwrap();
+        store.put(2, 2, 0, &blob(TWO_PAGES, 2)).unwrap();
+        assert_eq!(store.index[&1].pages, [1, 2], "from a fresh file");
+        assert_eq!(store.index[&2].pages, [3, 4], "from a fresh file");
+        // Removing the later chain first refills the free list out of
+        // page order; a five-page chain takes all four pages plus one
+        // grown page, and lists them ascending.
+        store.remove_unsynced(2).unwrap();
+        store.remove_unsynced(1).unwrap();
+        store.sync().unwrap();
+        store
+            .put(3, 3, 0, &blob(TWO_PAGES + 3 * PAYLOAD_PER_PAGE, 3))
+            .unwrap();
+        assert_eq!(store.index[&3].pages, [1, 2, 3, 4, 5], "from the free list");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A store whose free list holds three two-page holes, pages 1–2, 5–6
+    /// and 9–10: six two-page records were put (tokens 0..6), every other
+    /// one removed, and the removals synced.
+    fn store_with_holes(path: &std::path::Path) -> SessionStore {
+        let _ = std::fs::remove_file(path);
+        let mut store = SessionStore::open(path, 0).unwrap();
+        for t in 0..6u64 {
+            store.put(t, t, 0, &blob(TWO_PAGES, t as u8)).unwrap();
         }
-        for t in 0..records {
-            store.get(t).unwrap();
+        for t in [0, 2, 4] {
+            store.remove_unsynced(t).unwrap();
         }
-        assert!(store.page_misses() > 0, "cold reads miss");
-        assert!(store.page_evictions() > 0, "a full frame pool must evict");
-        store.get(records - 1).unwrap();
-        assert!(store.page_hits() > 0, "re-reads hit");
+        store.sync().unwrap();
+        store
+    }
+
+    /// An eight-page record, larger than any hole of [`store_with_holes`]:
+    /// its chain takes the three holes plus two grown pages, four runs.
+    fn larger_than_any_hole() -> Vec<u8> {
+        blob(TWO_PAGES + 6 * PAYLOAD_PER_PAGE, 9)
+    }
+
+    #[test]
+    fn a_chain_in_several_runs_round_trips_and_reopens_from_a_crash_image() {
+        let path = tmp("runs");
+        let mut store = store_with_holes(&path);
+        let record = larger_than_any_hole();
+        store.put_unsynced(9, 9, 0, &record).unwrap();
+        let chain = &store.index[&9].pages;
+        assert_eq!(chain, &[1, 2, 5, 6, 9, 10, 13, 14]);
+        assert_eq!(runs(chain).count(), 4);
+        assert_eq!(store.get(9).unwrap().1, record);
+        store.sync_handle().unwrap().sync().unwrap();
+        let image = crash_image(&path, "runs");
+        let recovered = SessionStore::open(&image, 0).unwrap();
+        assert_eq!(recovered.len(), 4);
+        assert_eq!(recovered.get(9).unwrap().1, record);
+        for t in [1, 3, 5] {
+            assert_eq!(recovered.get(t).unwrap().1, blob(TWO_PAGES, t as u8));
+        }
+        // Flip one payload byte of the second run's second page.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[6 * PAGE_SIZE + PAGE_HEADER + 5] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = store.get(9).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("page 6: page checksum")),
+            "{err}"
+        );
+        std::fs::remove_file(&image).unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_chain_written_in_descending_page_order_opens_and_reads_back() {
+        let path = tmp("descending");
+        let _ = std::fs::remove_file(&path);
+        let record = blob(TWO_PAGES + 50, 4);
+        {
+            // Head on page 3, then pages 2 and 1: the order in which a
+            // build that popped its free list page by page could chain
+            // them.
+            let mut file = PageFile::create(&path).unwrap();
+            file.grow(3).unwrap();
+            let mut head = Vec::new();
+            for field in [11u64, 0, 1] {
+                head.extend_from_slice(&field.to_le_bytes()); // session id, deadline, epoch
+            }
+            head.extend_from_slice(&(record.len() as u32).to_le_bytes());
+            head.extend_from_slice(&record[..HEAD_CAPACITY]);
+            let payloads =
+                std::iter::once(&head[..]).chain(record[HEAD_CAPACITY..].chunks(PAYLOAD_PER_PAGE));
+            for (page_idx, payload) in (1..=3u64).rev().zip(payloads) {
+                let mut page = vec![0u8; PAGE_SIZE];
+                PageHeader {
+                    kind: if page_idx == 3 { KIND_HEAD } else { KIND_DATA },
+                    payload_len: payload.len() as u32,
+                    next: page_idx - 1,
+                    token: 4,
+                }
+                .write_into(payload, &mut page);
+                file.write_pages(page_idx, &page).unwrap();
+            }
+            file.sync().unwrap();
+        }
+        let mut store = SessionStore::open(&path, 0).unwrap();
+        assert_eq!(store.index[&4].pages, [3, 2, 1]);
+        let (meta, back) = store.get(4).unwrap();
+        assert_eq!((meta.session_id, meta.epoch), (11, 1));
+        assert_eq!(back, record);
+        store.remove(4).unwrap();
+        assert!(SessionStore::open(&path, 0).unwrap().is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The calling thread's read and write system calls so far, `syscr`
+    /// and `syscw` of `/proc/thread-self/io`.
+    #[cfg(target_os = "linux")]
+    fn thread_io() -> (u64, u64) {
+        use std::io::Read as _;
+        // One read into a buffer larger than the file, so that each
+        // reading costs the same calls.
+        let mut buf = [0u8; 1024];
+        let n = std::fs::File::open("/proc/thread-self/io")
+            .and_then(|mut f| f.read(&mut buf))
+            .expect("read /proc/thread-self/io");
+        let text = std::str::from_utf8(&buf[..n]).unwrap();
+        let field = |name: &str| -> u64 {
+            let line = text.lines().find_map(|l| l.strip_prefix(name));
+            line.expect(name).trim().parse().unwrap()
+        };
+        (field("syscr:"), field("syscw:"))
+    }
+
+    /// The read and write system calls `f` makes on this thread, net of
+    /// what reading the counters costs.
+    #[cfg(target_os = "linux")]
+    fn io_calls(f: impl FnOnce()) -> (u64, u64) {
+        let a = thread_io();
+        let b = thread_io();
+        f();
+        let c = thread_io();
+        ((c.0 - b.0) - (b.0 - a.0), (c.1 - b.1) - (b.1 - a.1))
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_chain_moves_with_one_system_call_per_run() {
+        let path = tmp("syscalls");
+        let _ = std::fs::remove_file(&path);
+        let mut store = SessionStore::open(&path, 0).unwrap();
+        // The size of a default session's checkpoint: 21 pages.
+        let record = blob(82_473, 3);
+        assert_eq!(SessionStore::pages_for(record.len()), 21);
+        let put = io_calls(|| store.put_unsynced(1, 1, 0, &record).unwrap());
+        assert_eq!(put, (0, 1), "put_unsynced: (reads, writes)");
+        let get = io_calls(|| assert_eq!(store.get(1).unwrap().1, record));
+        assert_eq!(get, (1, 0), "get: (reads, writes)");
+        let remove = io_calls(|| {
+            store.remove_unsynced(1).unwrap();
+        });
+        assert_eq!(remove, (0, 1), "remove_unsynced: (reads, writes)");
+
+        // A chain in four runs takes four calls each way.
+        let mut store = store_with_holes(&path);
+        let record = larger_than_any_hole();
+        let put = io_calls(|| store.put_unsynced(9, 9, 0, &record).unwrap());
+        assert_eq!(runs(&store.index[&9].pages).count(), 4);
+        assert_eq!(put, (0, 4), "put_unsynced: (reads, writes)");
+        let get = io_calls(|| assert_eq!(store.get(9).unwrap().1, record));
+        assert_eq!(get, (4, 0), "get: (reads, writes)");
+        let remove = io_calls(|| {
+            store.remove_unsynced(9).unwrap();
+        });
+        assert_eq!(remove, (0, 4), "remove_unsynced: (reads, writes)");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1070,8 +1225,8 @@ mod tests {
         bytes[PAGE_SIZE + 40] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut seq = SessionStore::open(&path, 0).unwrap();
-        let mut par = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
+        let seq = SessionStore::open(&path, 0).unwrap();
+        let par = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
         assert_eq!(par.len(), seq.len());
         assert_eq!(par.bytes_used(), seq.bytes_used());
         let mut a = seq.entries();
@@ -1098,10 +1253,10 @@ mod tests {
             store.remove(1).unwrap();
         }
         let mut store = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
-        let pages_before = store.buf.page_count();
+        let pages_before = store.file.page_count();
         store.put(2, 2, 0, &blob(PAYLOAD_PER_PAGE * 2, 2)).unwrap();
         assert_eq!(
-            store.buf.page_count(),
+            store.file.page_count(),
             pages_before,
             "freed pages found by the parallel scan are reused, not regrown"
         );
