@@ -184,8 +184,12 @@ impl PageFile {
         r
     }
 
-    /// Refuses a run of `len` bytes from page `first` that is not whole
-    /// pages or does not lie inside the file.
+    /// Refuses a run of `len` bytes from page `first` that does not lie
+    /// inside the file.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not a whole number of pages.
     fn check_run(&self, first: u64, len: usize) -> io::Result<()> {
         assert_eq!(len % PAGE_SIZE, 0, "a run is a whole number of pages");
         let end = first.saturating_add((len / PAGE_SIZE) as u64);
