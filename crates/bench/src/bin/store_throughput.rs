@@ -1,15 +1,19 @@
-//! Spill/load throughput of the durable session store.
+//! Spill, load and recovery throughput of the durable session store.
 //!
 //! Parking a session pays `Checkpoint::encode` plus a write of its
-//! pages and a sync; every cold resume pays `get` + `Checkpoint::decode`.
-//! This binary measures three legs with an authentic payload: one
-//! default-configuration session (gshare64k + resetting:16) is replayed
-//! over `CIRA_TRACE_LEN` branches, checkpointed, and that image is
-//! spilled and reloaded as a fleet of distinct sessions through a fresh
-//! page file. The spill runs twice: once with `SessionStore::put`, one
-//! sync per session, and once as a group commit, every session through
-//! the write half (`put_unsynced`) and then one sync for all of them, as
-//! the server's background spill and its durability thread do.
+//! pages and a sync; every cold resume pays `get` + `Checkpoint::decode`;
+//! a restarted server pays `SessionStore::open`, which scans the whole
+//! page file. This binary measures four legs with an authentic payload:
+//! one default-configuration session (gshare64k + resetting:16) is
+//! replayed over `CIRA_TRACE_LEN` branches, checkpointed, and that image
+//! is spilled and reloaded as a fleet of distinct sessions through a
+//! fresh page file. The spill runs twice: once with `SessionStore::put`,
+//! one sync per session, and once as a group commit, every session
+//! through the write half (`put_unsynced`) and then one sync for all of
+//! them, as the server's background spill and its durability thread do.
+//! The recover leg reopens a group-commit-written file of
+//! `RECOVER_SESSIONS` checkpoints, long enough that the open-time scan
+//! reads it in many runs.
 //!
 //! Reported per leg: sessions/s and MB/s. Results go to
 //! `BENCH_store.json`.
@@ -21,6 +25,7 @@ use cira_bench::{banner, trace_len};
 use cira_core::one_level::ResettingConfidence;
 use cira_core::{IndexSpec, InitPolicy};
 use cira_predictor::Gshare;
+use cira_store::page::PAGE_SIZE;
 use cira_store::store::SessionStore;
 use cira_store::Checkpoint;
 use cira_trace::codec::PackedTrace;
@@ -30,6 +35,8 @@ use cira_trace::suite::ibs_like_suite;
 const SESSIONS: u64 = 32;
 /// Timing repetitions per leg; the best wall time wins.
 const REPS: usize = 3;
+/// Checkpoints in the file the recover leg reopens: about 21.5k pages.
+const RECOVER_SESSIONS: u64 = 1024;
 
 /// Replays the server's default session over `len` branches and returns
 /// its full CIRD checkpoint.
@@ -67,8 +74,8 @@ fn warm_checkpoint(len: u64) -> Checkpoint {
 fn main() {
     let len = trace_len();
     banner(
-        "Store spill/load throughput",
-        "Checkpoint encode+put (fsync each, or one for all) and get+decode through the page file",
+        "Store spill/load/recover throughput",
+        "Checkpoint encode+put (fsync each, or one for all), get+decode, and reopen of a large page file",
         len,
     );
 
@@ -145,8 +152,39 @@ fn main() {
         spill_mb / load_best
     );
 
+    // Recover: reopen a park of RECOVER_SESSIONS checkpoints written as
+    // one group commit — the scan a restarted server runs before it
+    // accepts connections.
+    let _ = std::fs::remove_file(&path);
+    let mut store = SessionStore::open(&path, 0).expect("open store");
+    for token in 0..RECOVER_SESSIONS {
+        store
+            .put_unsynced(token, token, 0, &blob)
+            .expect("write checkpoint");
+    }
+    store.sync().expect("sync the park");
+    drop(store);
+    let recover_pages = std::fs::metadata(&path).expect("stat store").len() / PAGE_SIZE as u64;
+    let mut recover_best = f64::INFINITY;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let store = SessionStore::open(&path, 0).expect("recover store");
+        recover_best = recover_best.min(t0.elapsed().as_secs_f64());
+        assert_eq!(
+            store.len(),
+            RECOVER_SESSIONS as usize,
+            "every record recovered"
+        );
+    }
+    let recover_mb = RECOVER_SESSIONS as f64 * blob.len() as f64 / 1e6;
+    println!(
+        "recover: {recover_best:6.3}s  ({:.1} sessions/s, {:.1} MB/s; {RECOVER_SESSIONS} sessions, {recover_pages} pages)",
+        RECOVER_SESSIONS as f64 / recover_best,
+        recover_mb / recover_best
+    );
+
     let json = format!(
-        "{{\n  \"trace_len\": {len},\n  \"sessions\": {SESSIONS},\n  \"blob_bytes\": {},\n  \"reps\": {REPS},\n  \"spill\": {{\"wall_seconds\": {spill_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"spill_group_commit\": {{\"wall_seconds\": {group_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"load\": {{\"wall_seconds\": {load_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}}\n}}\n",
+        "{{\n  \"trace_len\": {len},\n  \"sessions\": {SESSIONS},\n  \"blob_bytes\": {},\n  \"reps\": {REPS},\n  \"spill\": {{\"wall_seconds\": {spill_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"spill_group_commit\": {{\"wall_seconds\": {group_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"load\": {{\"wall_seconds\": {load_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}},\n  \"recover\": {{\"sessions\": {RECOVER_SESSIONS}, \"pages\": {recover_pages}, \"wall_seconds\": {recover_best:.4}, \"sessions_per_sec\": {:.1}, \"mb_per_sec\": {:.1}}}\n}}\n",
         blob.len(),
         SESSIONS as f64 / spill_best,
         spill_mb / spill_best,
@@ -154,6 +192,8 @@ fn main() {
         spill_mb / group_best,
         SESSIONS as f64 / load_best,
         spill_mb / load_best,
+        RECOVER_SESSIONS as f64 / recover_best,
+        recover_mb / recover_best,
     );
     match std::fs::write("BENCH_store.json", &json) {
         Ok(()) => println!("wrote BENCH_store.json"),

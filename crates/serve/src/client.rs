@@ -339,7 +339,7 @@ impl ClientBuilder {
     /// hello is rejected (bad spec, version mismatch); the last
     /// connect/shed error once retries are exhausted.
     pub fn connect(self, config: HelloConfig) -> Result<Client, ClientError> {
-        self.connect_inner(Some(config))
+        self.attach(Attach::Hello(&config))
     }
 
     /// Connects **without** negotiating a session (no `HELLO`).
@@ -352,7 +352,7 @@ impl ClientBuilder {
     ///
     /// Connection failures (after retries, if configured).
     pub fn connect_raw(self) -> Result<Client, ClientError> {
-        self.connect_inner(None)
+        self.attach(Attach::Raw)
     }
 
     /// Re-attaches to a parked session by resume token (rev 1.3): the
@@ -368,113 +368,36 @@ impl ClientBuilder {
     /// token names nothing (expired, evicted, or already resumed);
     /// connect failures and `BUSY` sheds after retries.
     pub fn resume(self, token: u64) -> Result<Client, ClientError> {
+        self.attach(Attach::Resume(token))
+    }
+
+    /// Dials and attaches as `how` says, retrying connect failures and
+    /// `BUSY` sheds under the configured [`RetryPolicy`].
+    fn attach(self, how: Attach<'_>) -> Result<Client, ClientError> {
         let mut rng = self.retry.jitter_seed;
         let mut attempt = 0u32;
         loop {
-            match self.try_resume_fresh(token) {
+            let e = match self.attach_once(how) {
                 Ok(client) => return Ok(client),
-                Err(e) => {
-                    attempt += 1;
-                    let retryable = e.is_transport() || matches!(e, ClientError::Busy { .. });
-                    if !retryable || attempt > self.retry.max_attempts {
-                        return Err(e);
-                    }
-                    let mut delay = self.retry.backoff(attempt, &mut rng);
-                    if let ClientError::Busy { retry_after_ms, .. } = &e {
-                        delay = delay.max(Duration::from_millis(u64::from(*retry_after_ms)));
-                    }
-                    std::thread::sleep(delay);
-                }
+                Err(e) => e,
+            };
+            attempt += 1;
+            let retryable = e.is_transport() || matches!(e, ClientError::Busy { .. });
+            if !retryable || attempt > self.retry.max_attempts {
+                return Err(e);
             }
+            let mut delay = self.retry.backoff(attempt, &mut rng);
+            if let ClientError::Busy { retry_after_ms, .. } = &e {
+                delay = delay.max(Duration::from_millis(u64::from(*retry_after_ms)));
+            }
+            std::thread::sleep(delay);
         }
     }
 
-    /// One dial + `RESUME` attempt from a token alone (no prior client
-    /// state to reconcile — the server's totals are adopted wholesale).
-    fn try_resume_fresh(&self, token: u64) -> Result<Client, ClientError> {
-        let stream = self.dial()?;
+    /// One dial, then one attach as `how` says.
+    fn attach_once(&self, how: Attach<'_>) -> Result<Client, ClientError> {
         let mut client = Client {
-            stream,
-            builder: self.clone(),
-            session: 0,
-            token: Some(token),
-            max_frame: DEFAULT_MAX_FRAME,
-            max_inflight: 1,
-            predictor: String::new(),
-            mechanism: String::new(),
-            next_seq: 0,
-            unacked: Vec::new(),
-            totals: StreamTotals::default(),
-            retries: 0,
-            resumes: 0,
-            rng: self.retry.jitter_seed ^ 0xc0ff_ee00,
-        };
-        client.send(&ClientFrame::Resume {
-            version: PROTO_VERSION,
-            token,
-        })?;
-        match client.recv()? {
-            ServerFrame::ResumeAck {
-                session,
-                last_seq,
-                batches,
-                records,
-                mispredicts,
-                low_confidence,
-                max_frame,
-                max_inflight,
-            } => {
-                client.session = session;
-                client.max_frame = max_frame;
-                client.max_inflight = max_inflight.max(1);
-                client.totals = StreamTotals {
-                    batches,
-                    records,
-                    mispredicts,
-                    low_confidence,
-                };
-                client.next_seq = last_seq.map_or(0, |s| s.wrapping_add(1));
-                client.resumes = 1;
-                Ok(client)
-            }
-            ServerFrame::Busy {
-                retry_after_ms,
-                message,
-            } => Err(ClientError::Busy {
-                retry_after_ms,
-                message,
-            }),
-            ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
-    }
-
-    fn connect_inner(self, config: Option<HelloConfig>) -> Result<Client, ClientError> {
-        let mut rng = self.retry.jitter_seed;
-        let mut attempt = 0u32;
-        loop {
-            match self.try_connect_once(config.as_ref()) {
-                Ok(client) => return Ok(client),
-                Err(e) => {
-                    attempt += 1;
-                    let retryable = e.is_transport() || matches!(e, ClientError::Busy { .. });
-                    if !retryable || attempt > self.retry.max_attempts {
-                        return Err(e);
-                    }
-                    let mut delay = self.retry.backoff(attempt, &mut rng);
-                    if let ClientError::Busy { retry_after_ms, .. } = &e {
-                        delay = delay.max(Duration::from_millis(u64::from(*retry_after_ms)));
-                    }
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-    }
-
-    fn try_connect_once(&self, config: Option<&HelloConfig>) -> Result<Client, ClientError> {
-        let stream = self.dial()?;
-        let mut client = Client {
-            stream,
+            stream: self.dial()?,
             builder: self.clone(),
             session: 0,
             token: None,
@@ -489,55 +412,45 @@ impl ClientBuilder {
             resumes: 0,
             rng: self.retry.jitter_seed ^ 0xc0ff_ee00,
         };
-        let Some(config) = config else {
-            return Ok(client); // raw: no session
-        };
-        client.send(&ClientFrame::Hello {
-            version: PROTO_VERSION,
-            config: config.clone(),
-        })?;
-        match client.recv()? {
-            ServerFrame::HelloAck {
-                session,
-                max_frame,
-                max_inflight,
-                predictor,
-                mechanism,
-                token,
-                ..
-            } => {
-                client.session = session;
+        match how {
+            Attach::Raw => {}
+            Attach::Hello(config) => client.hello(config)?,
+            Attach::Resume(token) => {
+                // No prior client state to reconcile: the server's totals
+                // are adopted wholesale.
                 client.token = Some(token);
-                client.max_frame = max_frame;
-                client.max_inflight = max_inflight.max(1);
-                client.predictor = predictor;
-                client.mechanism = mechanism;
-                Ok(client)
+                let last_seq = client.resume_session(token)?;
+                client.next_seq = last_seq.map_or(0, |s| s.wrapping_add(1));
+                client.resumes = 1;
             }
-            ServerFrame::Busy {
-                retry_after_ms,
-                message,
-            } => Err(ClientError::Busy {
-                retry_after_ms,
-                message,
-            }),
-            // A HELLO rejection names the specs this client offered:
-            // "bad spec" from a server that predates part of the grammar
-            // (say, `tage:…` or `self:…`) is otherwise undiagnosable from
-            // the bare typed ERROR.
-            ServerFrame::Error { code, message } => Err(ClientError::Server {
-                code,
-                message: if code == code::BAD_SPEC || code == code::UNSUPPORTED_VERSION {
-                    format!(
-                        "{message} (offered predictor={} mechanism={} index={} init={})",
-                        config.predictor, config.mechanism, config.index, config.init
-                    )
-                } else {
-                    message
-                },
-            }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
+        Ok(client)
+    }
+}
+
+/// How [`ClientBuilder::attach`] uses a fresh connection.
+#[derive(Debug, Clone, Copy)]
+enum Attach<'a> {
+    /// No session: only the sessionless frames.
+    Raw,
+    /// Negotiates a new session.
+    Hello(&'a HelloConfig),
+    /// Re-attaches the session parked under a resume token.
+    Resume(u64),
+}
+
+/// The error a reply other than the one asked for stands for.
+fn refusal(reply: ServerFrame) -> ClientError {
+    match reply {
+        ServerFrame::Busy {
+            retry_after_ms,
+            message,
+        } => ClientError::Busy {
+            retry_after_ms,
+            message,
+        },
+        ServerFrame::Error { code, message } => ClientError::Server { code, message },
+        other => ClientError::Unexpected(format!("{other:?}")),
     }
 }
 
@@ -773,12 +686,71 @@ impl Client {
 
     /// One reconnect + `RESUME` + retransmit attempt.
     fn try_resume_once(&mut self) -> Result<(), ClientError> {
-        let Some(token) = self.token else {
-            // Raw (sessionless) connections just need a fresh socket.
-            self.stream = self.builder.dial()?;
-            return Ok(());
-        };
         self.stream = self.builder.dial()?;
+        let Some(token) = self.token else {
+            return Ok(()); // raw (sessionless) connections just need a fresh socket
+        };
+        self.resume_session(token)?;
+        // Retransmit in order; acks come back through the usual pump. A
+        // fault here surfaces as Io and the outer loop tries again (the
+        // server parks the session anew when it notices this connection
+        // die).
+        for i in 0..self.unacked.len() {
+            let (seq, records) = self.unacked[i].clone();
+            self.send(&ClientFrame::Batch { seq, records })?;
+        }
+        Ok(())
+    }
+
+    /// Sends `HELLO` for `config` and adopts the session its `HELLO_ACK`
+    /// names.
+    fn hello(&mut self, config: &HelloConfig) -> Result<(), ClientError> {
+        self.send(&ClientFrame::Hello {
+            version: PROTO_VERSION,
+            config: config.clone(),
+        })?;
+        match self.recv()? {
+            ServerFrame::HelloAck {
+                session,
+                max_frame,
+                max_inflight,
+                predictor,
+                mechanism,
+                token,
+                ..
+            } => {
+                self.session = session;
+                self.token = Some(token);
+                self.max_frame = max_frame;
+                self.max_inflight = max_inflight.max(1);
+                self.predictor = predictor;
+                self.mechanism = mechanism;
+                Ok(())
+            }
+            // A HELLO rejection names the specs this client offered:
+            // "bad spec" from a server that predates part of the grammar
+            // (say, `tage:…` or `self:…`) is otherwise undiagnosable from
+            // the bare typed ERROR.
+            ServerFrame::Error { code, message }
+                if code == code::BAD_SPEC || code == code::UNSUPPORTED_VERSION =>
+            {
+                Err(ClientError::Server {
+                    code,
+                    message: format!(
+                        "{message} (offered predictor={} mechanism={} index={} init={})",
+                        config.predictor, config.mechanism, config.index, config.init
+                    ),
+                })
+            }
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Sends `RESUME` for `token` and applies its `RESUME_ACK`, returning
+    /// the last sequence number the server applied. The server's
+    /// cumulative totals are the truth: acks lost to a fault are already
+    /// included, retransmits about to happen are not.
+    fn resume_session(&mut self, token: u64) -> Result<Option<u32>, ClientError> {
         self.send(&ClientFrame::Resume {
             version: PROTO_VERSION,
             token,
@@ -797,9 +769,6 @@ impl Client {
                 self.session = session;
                 self.max_frame = max_frame;
                 self.max_inflight = max_inflight.max(1);
-                // The server's cumulative totals are the truth: acks
-                // lost to the fault are already included, retransmits
-                // about to happen are not.
                 self.totals = StreamTotals {
                     batches,
                     records,
@@ -809,25 +778,9 @@ impl Client {
                 if let Some(acked) = last_seq {
                     self.drop_acked(acked);
                 }
-                // Retransmit in order; acks come back through the usual
-                // pump. A fault here surfaces as Io and the outer loop
-                // tries again (the server parks the session anew when it
-                // notices this connection die).
-                for i in 0..self.unacked.len() {
-                    let (seq, records) = self.unacked[i].clone();
-                    self.send(&ClientFrame::Batch { seq, records })?;
-                }
-                Ok(())
+                Ok(last_seq)
             }
-            ServerFrame::Busy {
-                retry_after_ms,
-                message,
-            } => Err(ClientError::Busy {
-                retry_after_ms,
-                message,
-            }),
-            ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 

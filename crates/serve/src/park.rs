@@ -52,7 +52,9 @@
 //! deadline** (milliseconds since the Unix epoch) persisted in the
 //! record metadata — a relative TTL could not survive a restart.
 //! [`SessionPark::sweep`] enforces both; [`SessionPark::take`] refuses
-//! to resurrect anything expired between sweeps.
+//! to resurrect anything expired between sweeps, and reports the
+//! session it destroyed ([`NotResumed::Destroyed`]) so the caller can
+//! account for it as a sweep would.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -131,6 +133,20 @@ pub struct Resumed {
     pub wrote: bool,
 }
 
+/// Why [`SessionPark::take`] handed no session back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotResumed {
+    /// Nothing is parked under the token.
+    Unknown,
+    /// The session was parked, but it had expired between sweeps or its
+    /// checkpoint could not be read back, so the take destroyed it.
+    Destroyed {
+        /// The take removed a disk copy; the next sync makes the removal
+        /// crash-safe.
+        wrote: bool,
+    },
+}
+
 /// TTL sweep results.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOutcome {
@@ -193,8 +209,9 @@ impl SessionPark {
     /// unlimited).
     ///
     /// Recovery happens here: records already in the store — survivors
-    /// of a previous process, crashed or not — are scanned, expired
-    /// ones are removed, and the rest become immediately resumable
+    /// of a previous process, crashed or not — are found by the store's
+    /// one-pass open-time scan on the calling thread, expired ones are
+    /// removed, and the rest become immediately resumable
     /// (their sessions decode lazily, on first `RESUME`, so a large
     /// park does not inflate startup memory). Returns the park and the
     /// number of sessions recovered.
@@ -208,39 +225,7 @@ impl SessionPark {
         path: &Path,
         disk_capacity_bytes: u64,
     ) -> Result<(Self, usize), StoreError> {
-        let store = SessionStore::open(path, disk_capacity_bytes)?;
-        Ok(Self::from_store(capacity, ttl, store))
-    }
-
-    /// Like [`SessionPark::with_disk`], but the store's open-time
-    /// recovery scan is handed to `exec` — see
-    /// [`SessionStore::open_scanned`]. The server passes a closure that
-    /// fans the page-range jobs over the shared `WorkerPool`, so a
-    /// multi-GiB park file recovers at the speed of every core.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or a file that is not a cira-store page file.
-    pub fn with_disk_scanned<E>(
-        capacity: usize,
-        ttl: Duration,
-        path: &Path,
-        disk_capacity_bytes: u64,
-        exec: E,
-    ) -> Result<(Self, usize), StoreError>
-    where
-        E: FnOnce(
-            Vec<std::ops::Range<u64>>,
-            cira_store::PageScanner<'_>,
-        ) -> Vec<cira_store::ScanChunk>,
-    {
-        let store = SessionStore::open_scanned(path, disk_capacity_bytes, exec)?;
-        Ok(Self::from_store(capacity, ttl, store))
-    }
-
-    /// Finishes recovery over a freshly opened store: drops expired
-    /// records and wraps the rest as the disk tier.
-    fn from_store(capacity: usize, ttl: Duration, mut store: SessionStore) -> (Self, usize) {
+        let mut store = SessionStore::open(path, disk_capacity_bytes)?;
         // Expired records are dead weight from a previous life; drop
         // them before they count against capacity, with one sync for
         // all the removals.
@@ -255,7 +240,7 @@ impl SessionPark {
         }
         let recovered = store.len();
         cira_obs::debug!("park recovered from disk", sessions = recovered);
-        (
+        Ok((
             Self {
                 capacity,
                 ttl,
@@ -265,7 +250,7 @@ impl SessionPark {
                 }),
             },
             recovered,
-        )
+        ))
     }
 
     /// Whether a disk tier is attached.
@@ -499,9 +484,14 @@ impl SessionPark {
     /// resident, else by decoding its disk checkpoint. Either way the
     /// disk copy is removed ([`Resumed::wrote`]; the next sync makes the
     /// removal crash-safe), so a session never resurrects after being
-    /// resumed. Expired entries are dropped here rather than
-    /// resurrected.
-    pub fn take(&self, token: u64) -> Option<Resumed> {
+    /// resumed. An entry that expired between sweeps, or whose checkpoint
+    /// cannot be read back, is destroyed rather than resurrected
+    /// ([`NotResumed::Destroyed`]).
+    ///
+    /// # Errors
+    ///
+    /// [`NotResumed`] when no session comes back.
+    pub fn take(&self, token: u64) -> Result<Resumed, NotResumed> {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         if let Some(idx) = inner.hot.iter().position(|p| p.token == token) {
@@ -513,52 +503,48 @@ impl SessionPark {
                 }
             }
             if p.at.elapsed() > self.ttl {
-                return None; // expired between sweeps; drop it
+                return Err(NotResumed::Destroyed { wrote }); // expired between sweeps
             }
-            return Some(Resumed {
+            return Ok(Resumed {
                 session_id: p.session_id,
                 session: p.session,
                 from_disk: false,
                 wrote,
             });
         }
-        let store = inner.disk.as_mut()?;
-        let (meta, blob) = match store.get(token) {
-            Ok(hit) => hit,
-            Err(StoreError::NotFound(_)) => return None,
-            Err(e) => {
-                cira_obs::warn!(
-                    "park disk read failed",
-                    token = token,
-                    error = format!("{e}")
-                );
-                let _ = store.remove_unsynced(token);
-                return None;
-            }
-        };
+        let store = inner.disk.as_mut().ok_or(NotResumed::Unknown)?;
+        let got = store.get(token);
+        if let Err(StoreError::NotFound(_)) = got {
+            return Err(NotResumed::Unknown);
+        }
+        // Resumed or destroyed, the record must not come back.
         let wrote = store.remove_unsynced(token).is_ok();
+        let destroyed = NotResumed::Destroyed { wrote };
+        let (meta, blob) = got.map_err(|e| {
+            cira_obs::warn!(
+                "park disk read failed",
+                token = token,
+                error = format!("{e}")
+            );
+            destroyed
+        })?;
         if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < unix_now_ms() {
-            return None; // expired on disk between sweeps
+            return Err(destroyed); // expired on disk between sweeps
         }
-        let checkpoint = match Checkpoint::decode(&blob) {
-            Ok(cp) => cp,
-            Err(e) => {
-                cira_obs::warn!("park checkpoint undecodable", token = token, error = e);
-                return None;
-            }
-        };
-        match Session::from_checkpoint(&checkpoint, token) {
-            Ok(session) => Some(Resumed {
-                session_id: meta.session_id,
-                session,
-                from_disk: true,
-                wrote,
-            }),
-            Err(e) => {
-                cira_obs::warn!("park checkpoint unrestorable", token = token, error = e);
-                None
-            }
-        }
+        let checkpoint = Checkpoint::decode(&blob).map_err(|e| {
+            cira_obs::warn!("park checkpoint undecodable", token = token, error = e);
+            destroyed
+        })?;
+        let session = Session::from_checkpoint(&checkpoint, token).map_err(|e| {
+            cira_obs::warn!("park checkpoint unrestorable", token = token, error = e);
+            destroyed
+        })?;
+        Ok(Resumed {
+            session_id: meta.session_id,
+            session,
+            from_disk: true,
+            wrote,
+        })
     }
 
     /// Drops every session parked longer than the TTL — hot entries by
@@ -695,14 +681,18 @@ mod tests {
         assert_eq!(r.session_id, 100);
         assert_eq!(r.session.token(), 7);
         assert!(!r.from_disk);
-        assert!(park.take(7).is_none(), "taken sessions stay gone");
+        assert_eq!(
+            park.take(7).err(),
+            Some(NotResumed::Unknown),
+            "taken sessions stay gone"
+        );
     }
 
     #[test]
     fn unknown_token_is_none() {
         let park = SessionPark::new(4, Duration::from_secs(60));
         park.insert(1, 1, session(1));
-        assert!(park.take(2).is_none());
+        assert_eq!(park.take(2).err(), Some(NotResumed::Unknown));
         assert_eq!(park.len(), 1, "miss must not disturb other entries");
     }
 
@@ -712,16 +702,20 @@ mod tests {
         assert_eq!(park.insert(1, 1, session(1)).evicted, 0);
         assert_eq!(park.insert(2, 2, session(2)).evicted, 0);
         assert_eq!(park.insert(3, 3, session(3)).evicted, 1);
-        assert!(park.take(1).is_none(), "oldest was evicted");
-        assert!(park.take(2).is_some());
-        assert!(park.take(3).is_some());
+        assert_eq!(
+            park.take(1).err(),
+            Some(NotResumed::Unknown),
+            "oldest was evicted"
+        );
+        assert!(park.take(2).is_ok());
+        assert!(park.take(3).is_ok());
     }
 
     #[test]
     fn zero_capacity_disables_parking() {
         let park = SessionPark::new(0, Duration::from_secs(60));
         assert_eq!(park.insert(1, 1, session(1)).evicted, 1);
-        assert!(park.take(1).is_none());
+        assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
         assert!(park.is_empty());
     }
 
@@ -730,11 +724,40 @@ mod tests {
         let park = SessionPark::new(4, Duration::from_millis(0));
         park.insert(1, 1, session(1));
         std::thread::sleep(Duration::from_millis(5));
-        assert!(park.take(1).is_none(), "expired entries never resurrect");
+        assert_eq!(
+            park.take(1).err(),
+            Some(NotResumed::Destroyed { wrote: false }),
+            "expired entries never resurrect"
+        );
         park.insert(2, 2, session(2));
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(park.sweep().expired, 1);
         assert!(park.is_empty());
+    }
+
+    #[test]
+    fn an_expired_take_reports_what_it_destroyed() {
+        let path = tmp("expired-take");
+        let _ = std::fs::remove_file(&path);
+        let (park, _) = SessionPark::with_disk(1, Duration::from_millis(1), &path, 0).unwrap();
+        park.insert(1, 1, small_session(1));
+        // The second park pushes the first out of the one hot slot to disk.
+        assert_eq!(park.insert(2, 2, small_session(2)).spilled, 1);
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(
+            park.take(2).err(),
+            Some(NotResumed::Destroyed { wrote: false }),
+            "an expired hot entry"
+        );
+        assert_eq!(
+            park.take(1).err(),
+            Some(NotResumed::Destroyed { wrote: true }),
+            "an expired disk record"
+        );
+        assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
+        assert_eq!(park.take(3).err(), Some(NotResumed::Unknown));
+        assert!(park.is_empty());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -894,38 +917,7 @@ mod tests {
             SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
         assert_eq!(recovered, 1, "lazy window is bounded by the tick cadence");
         assert!(park.take(1).unwrap().from_disk, "oldest was spilled first");
-        assert!(park.take(2).is_none());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn scanned_recovery_matches_sequential() {
-        let path = tmp("scanned");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (park, _) = SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
-            for t in 1..=3u64 {
-                park.insert(t, t * 10, small_session(t));
-            }
-            assert_eq!(park.spill_step(usize::MAX).written, 3);
-        }
-        let exec = |ranges: Vec<std::ops::Range<u64>>, scan: cira_store::PageScanner<'_>| {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|r| s.spawn(move || scan(r)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        };
-        let (park, recovered) =
-            SessionPark::with_disk_scanned(8, Duration::from_secs(60), &path, 0, exec).unwrap();
-        assert_eq!(recovered, 3);
-        for t in 1..=3u64 {
-            let r = park.take(t).unwrap();
-            assert_eq!(r.session_id, t * 10);
-            assert!(r.from_disk);
-        }
+        assert_eq!(park.take(2).err(), Some(NotResumed::Unknown));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -989,7 +981,7 @@ mod tests {
         let (park, recovered) =
             SessionPark::with_disk(4, Duration::from_millis(1), &path, 0).unwrap();
         assert_eq!(recovered, 0, "expired records die at recovery");
-        assert!(park.take(5).is_none());
+        assert_eq!(park.take(5).err(), Some(NotResumed::Unknown));
         std::fs::remove_file(&path).unwrap();
     }
 

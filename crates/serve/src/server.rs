@@ -67,7 +67,7 @@ use crate::durability::{Durability, Waiter};
 use crate::event::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::frame::{FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
 use crate::metrics::{register_shards, ServerMetrics, ShardMetrics};
-use crate::park::{ParkRefusal, SessionPark};
+use crate::park::{NotResumed, ParkRefusal, SessionPark};
 use crate::proto::{code, decode_client, encode_server, ClientFrame, ServerFrame, PROTO_VERSION};
 use crate::session::Session;
 use crate::shutdown::ShutdownToken;
@@ -257,6 +257,18 @@ impl Shared {
             self.metrics.sessions_live.add(-(outcome.expired as i64));
             cira_obs::debug!("parked sessions expired", evicted = outcome.expired);
         }
+        self.publish_store_gauges();
+    }
+
+    /// Accounts for a parked session that a take destroyed (expired
+    /// between sweeps, or unreadable) as a sweep would: one TTL eviction,
+    /// one live session fewer, and the sync its removal owes.
+    fn account_destroyed(&self, wrote: bool) {
+        if wrote {
+            self.request_sync(None);
+        }
+        self.metrics.park_evicted_ttl.inc();
+        self.metrics.sessions_live.dec();
         self.publish_store_gauges();
     }
 
@@ -765,7 +777,7 @@ impl Shard {
                     cira_obs::warn!("park sync failed", session = id, error = error);
                     self.shared.metrics.park_store_full.inc();
                     match self.shared.park.take(token) {
-                        Some(resumed) => {
+                        Ok(resumed) => {
                             if resumed.wrote {
                                 self.shared.request_sync(None);
                             }
@@ -776,8 +788,12 @@ impl Shard {
                             });
                             self.store_full(&mut conn);
                         }
-                        None => {
-                            self.shared.metrics.sessions_live.dec();
+                        Err(gone) => {
+                            // Whoever removed an unknown token (a sweep, a
+                            // RESUME) has accounted for the session.
+                            if let NotResumed::Destroyed { wrote } = gone {
+                                self.shared.account_destroyed(wrote);
+                            }
                             self.conn_error(
                                 &mut conn,
                                 code::STORE_FULL,
@@ -1395,10 +1411,10 @@ impl Shard {
                 );
                 let load_span = trace::Span::begin_ctx(Stage::ParkLoad);
                 let taken = self.shared.park.take(token);
-                load_span.end_with(taken.as_ref().is_some_and(|r| r.from_disk) as u64);
+                load_span.end_with(taken.as_ref().is_ok_and(|r| r.from_disk) as u64);
                 trace::clear_ctx();
                 match taken {
-                    Some(resumed) => {
+                    Ok(resumed) => {
                         let session_id = resumed.session_id;
                         let from_disk = resumed.from_disk;
                         let wrote = resumed.wrote;
@@ -1436,7 +1452,10 @@ impl Shard {
                         }
                         Action::Continue
                     }
-                    None => {
+                    Err(gone) => {
+                        if let NotResumed::Destroyed { wrote } = gone {
+                            self.shared.account_destroyed(wrote);
+                        }
                         metrics.resume_failures.inc();
                         self.conn_error(
                             conn,
@@ -1821,17 +1840,8 @@ fn serve_with_sync_hook(
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
             let path = dir.join("park.cirstore");
-            // The recovery scan fans page ranges out over the worker
-            // pool: each job preads and parses its slice of the file,
-            // the merged map feeds the sequential index build.
-            SessionPark::with_disk_scanned(
-                cfg.park_capacity,
-                park_ttl,
-                &path,
-                cfg.park_disk_capacity,
-                |ranges, scan| pool.scope_map(&ranges, |_, range| scan(range.clone())),
-            )
-            .map_err(|e| io::Error::other(format!("park store {}: {e}", path.display())))?
+            SessionPark::with_disk(cfg.park_capacity, park_ttl, &path, cfg.park_disk_capacity)
+                .map_err(|e| io::Error::other(format!("park store {}: {e}", path.display())))?
         }
         None => (SessionPark::new(cfg.park_capacity, park_ttl), 0),
     };
@@ -2082,6 +2092,43 @@ mod tests {
         fail.store(false, Ordering::Relaxed);
         assert_eq!(resumed.snapshot_stats().unwrap(), stats, "nothing lost");
         resumed.goodbye().unwrap();
+        handle.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_resume_that_finds_its_session_expired_releases_it() {
+        let dir = temp_dir("expired-resume");
+        let cfg = ServerConfig {
+            shards: 1,
+            park_dir: Some(dir.clone()),
+            park_ttl_ms: 150,
+            ..ServerConfig::default()
+        };
+        let handle = serve("127.0.0.1:0", cfg, WorkerPool::global()).unwrap();
+        let addr = handle.local_addr().to_string();
+        let trace: PackedTrace = cira_trace::suite::ibs_like_suite()[0]
+            .walker()
+            .take(512)
+            .collect();
+        for _ in 0..10 {
+            let mut client = Client::connect(&addr, small_config()).unwrap();
+            client.send_batch(&trace).unwrap();
+            let token = client.park().unwrap();
+            // Past the TTL, but a sweep runs only every 100 ms tick: most
+            // RESUMEs find the expired session before a sweep does.
+            std::thread::sleep(Duration::from_millis(160));
+            match Client::builder(&addr).resume(token) {
+                Err(crate::client::ClientError::Server { code: c, .. }) => {
+                    assert_eq!(c, code::UNKNOWN_SESSION);
+                }
+                other => panic!("expected UNKNOWN_SESSION, got {other:?}"),
+            }
+        }
+        // Each session left the park once, by a sweep or by its RESUME.
+        let metrics = handle.metrics();
+        assert_eq!(metrics.sessions_live.get(), 0, "no session is live");
+        assert_eq!(metrics.park_evicted_ttl.get(), 10, "every session expired");
         handle.shutdown_and_join();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -140,8 +140,7 @@ impl PageFile {
 
     /// Reads the run of consecutive pages that starts at `first` into
     /// `buf`, a whole number of pages long, with one positioned read.
-    /// Because it takes `&self`, many threads can read disjoint pages of
-    /// one file at once, as the parallel open-time recovery scan does.
+    /// It takes `&self`: a read changes no state.
     ///
     /// # Errors
     ///

@@ -15,7 +15,7 @@
 //!   resume token with park metadata (session id, absolute deadline,
 //!   write epoch), chains allocated in ascending page order and moved
 //!   one run per system call, write-ahead-of-free durability, and
-//!   open-time scan recovery;
+//!   recovery by one open-time scan that reads the file in runs;
 //! * [`cird`] — [`cird::Checkpoint`], the versioned `CIRD` codec for a
 //!   complete streaming-session state (specs, counters, BHR, predictor
 //!   and mechanism state blobs, bucket cells), restoring which is
@@ -64,4 +64,4 @@ pub mod store;
 
 pub use cird::Checkpoint;
 pub use file::PageFile;
-pub use store::{PageScanner, ScanChunk, SessionStore, StoreError, StoreMeta, SyncHandle};
+pub use store::{SessionStore, StoreError, StoreMeta, SyncHandle};

@@ -26,7 +26,8 @@
 //!   and stitch them into a record that never existed.
 //! * The free list is **not** stored on disk. [`SessionStore::open`]
 //!   rebuilds it — and the token index — by an authoritative scan of
-//!   every page: torn or foreign pages are discarded, broken chains are
+//!   every page, one pass that reads the file in runs of up to 256
+//!   pages: torn or foreign pages are discarded, broken chains are
 //!   dropped whole, and where two chains claim the same token (a crash
 //!   between the new-chain sync and the old-chain free) the higher
 //!   epoch wins.
@@ -34,7 +35,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,25 +170,10 @@ impl SyncHandle {
     }
 }
 
-/// Pages per recovery-scan job (4 MiB of file): coarse enough that a
-/// job amortizes its dispatch, fine enough that a multi-GiB park file
-/// still fans out over every worker.
-const SCAN_RANGE_PAGES: u64 = 1024;
+/// Pages the open-time scan reads with one call: 1 MiB of file.
+const SCAN_RUN_PAGES: u64 = 256;
 
-/// Parsed page headers from one page range of an open-time recovery
-/// scan. Opaque to executors: they only ferry chunks from the scanner
-/// back to [`SessionStore::open_scanned`], in any order, on any thread.
-#[derive(Debug)]
-pub struct ScanChunk {
-    pages: Vec<(u64, Scanned)>,
-    err: Option<io::Error>,
-}
-
-/// The per-range page scanner handed to an [`SessionStore::open_scanned`]
-/// executor. `Sync`, so the executor may call it from many threads on
-/// disjoint ranges concurrently (reads are positioned, `pread(2)`-style).
-pub type PageScanner<'a> = &'a (dyn Fn(Range<u64>) -> ScanChunk + Sync + 'a);
-
+/// A page the open-time scan found intact.
 #[derive(Debug, Clone)]
 struct Scanned {
     header: PageHeader,
@@ -198,7 +183,9 @@ struct Scanned {
 
 impl SessionStore {
     /// Opens (or creates) the store at `path`, then scans every page to
-    /// rebuild the token index and free list.
+    /// rebuild the token index and free list. The scan reads the file in
+    /// runs of up to 256 pages, one read per run, and checks each run's
+    /// page checksums four pages at a time.
     ///
     /// # Errors
     ///
@@ -206,83 +193,22 @@ impl SessionStore {
     /// Page-level corruption is *not* an error: damaged chains are
     /// discarded and their salvageable pages freed.
     pub fn open(path: &Path, capacity_bytes: u64) -> Result<Self, StoreError> {
-        // Sequential executor: run every scan job inline, in order.
-        Self::open_scanned(path, capacity_bytes, |ranges, scan| {
-            ranges.into_iter().map(scan).collect()
-        })
-    }
-
-    /// Like [`SessionStore::open`], but the open-time recovery scan
-    /// is split into page-range jobs and handed to `exec` to run —
-    /// typically fanned over a worker pool. `exec` receives every range
-    /// plus a thread-safe scanner and must return one [`ScanChunk`] per
-    /// invocation, in any order; chunks from ranges it never scans are
-    /// simply treated as unreadable (their pages land on the free list),
-    /// so a conforming executor calls the scanner on **every** range.
-    /// The scan only reads page headers (positioned reads, no shared
-    /// cursor); the chain walk that stitches records together stays
-    /// sequential — it is index arithmetic, not I/O.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures (including any surfaced inside scan jobs), or a
-    /// superblock that is not a cira-store file. Page-level corruption
-    /// is *not* an error: damaged chains are discarded and their
-    /// salvageable pages freed.
-    pub fn open_scanned<E>(path: &Path, capacity_bytes: u64, exec: E) -> Result<Self, StoreError>
-    where
-        E: FnOnce(Vec<Range<u64>>, PageScanner<'_>) -> Vec<ScanChunk>,
-    {
         let file = if path.exists() {
             PageFile::open(path)?
         } else {
             PageFile::create(path)?
         };
         let count = file.page_count();
-        let mut ranges = Vec::new();
-        let mut at = 1u64; // page 0 is the superblock
-        while at < count {
-            let end = (at + SCAN_RANGE_PAGES).min(count);
-            ranges.push(at..end);
-            at = end;
-        }
-        let scan = |range: Range<u64>| -> ScanChunk {
-            let mut chunk = ScanChunk {
-                pages: Vec::new(),
-                err: None,
-            };
-            let mut data = vec![0u8; PAGE_SIZE];
-            for idx in range {
-                if let Err(e) = file.read_pages(idx, &mut data) {
-                    chunk.err = Some(e);
-                    return chunk;
-                }
-                let Ok(header) = PageHeader::read_from(&data) else {
-                    continue; // torn or foreign page: unclaimed, freed later
-                };
-                let rec = if header.kind == KIND_HEAD {
-                    if (header.payload_len as usize) < REC_HEADER {
-                        continue; // head too short to carry a record header
-                    }
-                    let mut rec = [0u8; REC_HEADER];
-                    rec.copy_from_slice(&data[32..32 + REC_HEADER]);
-                    Some(rec)
-                } else {
-                    None
-                };
-                chunk.pages.push((idx, Scanned { header, rec }));
-            }
-            chunk
-        };
-        let chunks = exec(ranges, &scan);
-        let mut pages: HashMap<u64, Scanned> = HashMap::new();
-        for chunk in chunks {
-            if let Some(e) = chunk.err {
-                return Err(StoreError::Io(e));
-            }
-            for (idx, s) in chunk.pages {
-                pages.insert(idx, s);
-            }
+        // Intact pages by index; page 0, the superblock, stays `None`.
+        let mut pages: Vec<Option<Scanned>> = vec![None; count as usize];
+        let mut buf = vec![0u8; (count - 1).min(SCAN_RUN_PAGES) as usize * PAGE_SIZE];
+        let mut first = 1;
+        while first < count {
+            let len = (count - first).min(SCAN_RUN_PAGES);
+            let run = &mut buf[..len as usize * PAGE_SIZE];
+            file.read_pages(first, run)?;
+            scan_run(first, run, &mut pages);
+            first += len;
         }
 
         let mut store = Self {
@@ -295,35 +221,38 @@ impl SessionStore {
             capacity_bytes,
             next_epoch: 1,
         };
-        store.build_index(count, &pages);
+        store.build_index(&pages);
         Ok(store)
     }
 
-    /// Stitches scanned page headers into the record index and free
-    /// list (the sequential tail of recovery).
-    fn build_index(&mut self, count: u64, pages: &HashMap<u64, Scanned>) {
+    /// Stitches the scanned pages into the record index and free list.
+    fn build_index(&mut self, pages: &[Option<Scanned>]) {
         // Walk every head's chain; only fully-valid chains survive.
         let mut records: HashMap<u64, RecordLoc> = HashMap::new();
         let mut max_epoch = 0u64;
-        for (&head_idx, scanned) in pages {
-            if scanned.header.kind != KIND_HEAD {
+        for (head_idx, scanned) in (0u64..).zip(pages) {
+            // Only a HEAD page carries a record header.
+            let Some(Scanned {
+                header,
+                rec: Some(rec),
+            }) = scanned
+            else {
                 continue;
-            }
-            let rec = scanned.rec.expect("heads carry a record header");
+            };
             let meta = StoreMeta {
                 session_id: u64::from_le_bytes(rec[0..8].try_into().expect("8")),
                 deadline_unix_ms: u64::from_le_bytes(rec[8..16].try_into().expect("8")),
                 epoch: u64::from_le_bytes(rec[16..24].try_into().expect("8")),
             };
             let blob_len = u32::from_le_bytes(rec[24..28].try_into().expect("4"));
-            let token = scanned.header.token;
+            let token = header.token;
             let mut chain = vec![head_idx];
             let mut seen: HashSet<u64> = chain.iter().copied().collect();
-            let mut got = scanned.header.payload_len as usize - REC_HEADER;
-            let mut next = scanned.header.next;
+            let mut got = header.payload_len as usize - REC_HEADER;
+            let mut next = header.next;
             let mut ok = true;
             while next != 0 {
-                let Some(p) = pages.get(&next) else {
+                let Some(p) = pages.get(next as usize).and_then(Option::as_ref) else {
                     ok = false; // torn or missing continuation
                     break;
                 };
@@ -356,11 +285,13 @@ impl SessionStore {
             }
         }
         // Free list: every page not claimed by a surviving chain.
-        let live: HashSet<u64> = records
-            .values()
-            .flat_map(|r| r.pages.iter().copied())
+        let mut live = vec![false; pages.len()];
+        for &page_idx in records.values().flat_map(|r| &r.pages) {
+            live[page_idx as usize] = true;
+        }
+        self.free = (1..pages.len() as u64)
+            .filter(|&idx| !live[idx as usize])
             .collect();
-        self.free = (1..count).filter(|idx| !live.contains(idx)).collect();
         self.index = records;
         self.next_epoch = max_epoch + 1;
         cira_obs::debug!(
@@ -710,6 +641,40 @@ impl SessionStore {
 /// A chain's runs of consecutive ascending pages, in chain order.
 fn runs(chain: &[u64]) -> impl Iterator<Item = &[u64]> {
     chain.chunk_by(|&a, &b| b == a + 1)
+}
+
+/// Keeps in `pages` each page of the run read from page `first` whose
+/// header parses and whose checksum matches. A torn or foreign page stays
+/// `None`, so the chain through it is discarded whole.
+fn scan_run(first: u64, run: &[u8], pages: &mut [Option<Scanned>]) {
+    let mut parsed = Vec::new();
+    let mut inputs = Vec::new();
+    for (idx, page) in (first..).zip(run.chunks_exact(PAGE_SIZE)) {
+        let Ok((header, stored)) = PageHeader::read_unverified(page) else {
+            continue;
+        };
+        parsed.push((idx, header, stored));
+        inputs.push((
+            header.image(),
+            &page[PAGE_HEADER..PAGE_HEADER + header.payload_len as usize],
+        ));
+    }
+    let sums = page_checksums(&inputs);
+    for (((idx, header, stored), (_, payload)), computed) in
+        parsed.into_iter().zip(inputs).zip(sums)
+    {
+        if stored != computed {
+            continue;
+        }
+        let rec = match header.kind {
+            KIND_HEAD => match payload.get(..REC_HEADER) {
+                Some(rec) => Some(rec.try_into().expect("REC_HEADER bytes")),
+                None => continue, // head too short to carry a record header
+            },
+            _ => None,
+        };
+        pages[idx as usize] = Some(Scanned { header, rec });
+    }
 }
 
 #[cfg(test)]
@@ -1190,76 +1155,85 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A deliberately hostile executor: scans ranges on four threads and
-    /// returns the chunks reversed, exercising the "any order, any
-    /// thread" contract.
-    fn threaded_exec(ranges: Vec<std::ops::Range<u64>>, scan: PageScanner<'_>) -> Vec<ScanChunk> {
-        let mut chunks: Vec<(usize, ScanChunk)> = std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| s.spawn(move || (i, scan(r))))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        chunks.reverse();
-        chunks.into_iter().map(|(_, c)| c).collect()
-    }
-
+    #[cfg(target_os = "linux")]
     #[test]
-    fn parallel_scan_matches_sequential() {
-        let path = tmp("parscan");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = SessionStore::open(&path, 0).unwrap();
-            for t in 0..24u64 {
-                let len = 64 + (t as usize % 5) * PAYLOAD_PER_PAGE;
-                store.put(t, t * 10, t * 1000, &blob(len, t as u8)).unwrap();
-            }
-            store.remove(7).unwrap();
-            store.remove(13).unwrap();
-        }
-        // Corrupt one record so the parallel path also agrees on
-        // discarded chains (token 0's single page is page 1).
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[PAGE_SIZE + 40] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let seq = SessionStore::open(&path, 0).unwrap();
-        let par = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
-        assert_eq!(par.len(), seq.len());
-        assert_eq!(par.bytes_used(), seq.bytes_used());
-        let mut a = seq.entries();
-        let mut b = par.entries();
-        a.sort_by_key(|(t, _)| *t);
-        b.sort_by_key(|(t, _)| *t);
-        assert_eq!(a, b, "index metadata must not depend on scan order");
-        for (t, _) in a {
-            let (ma, ba) = seq.get(t).unwrap();
-            let (mb, bb) = par.get(t).unwrap();
-            assert_eq!(ma, mb);
-            assert_eq!(ba, bb, "record bytes must not depend on scan order");
-        }
+    fn open_reads_the_file_with_one_call_per_run() {
+        let path = tmp("open-syscalls");
+        drop(store_of_default_records(&path));
+        let mut store = None;
+        let open = io_calls(|| store = Some(SessionStore::open(&path, 0).unwrap()));
+        // The superblock, then 1,008 pages in runs of 256.
+        let runs = (21 * DEFAULT_RECORDS).div_ceil(SCAN_RUN_PAGES);
+        assert_eq!(open, (1 + runs, 0), "open: (reads, writes)");
+        assert_eq!(store.unwrap().len(), DEFAULT_RECORDS as usize);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn scanned_open_reuses_free_pages_like_sequential() {
-        let path = tmp("parscan-free");
+    fn reopen_reuses_the_free_pages_it_finds() {
+        let path = tmp("reopen-free");
         let _ = std::fs::remove_file(&path);
         {
             let mut store = SessionStore::open(&path, 0).unwrap();
             store.put(1, 1, 0, &blob(PAYLOAD_PER_PAGE * 2, 1)).unwrap();
             store.remove(1).unwrap();
         }
-        let mut store = SessionStore::open_scanned(&path, 0, threaded_exec).unwrap();
+        let mut store = SessionStore::open(&path, 0).unwrap();
         let pages_before = store.file.page_count();
         store.put(2, 2, 0, &blob(PAYLOAD_PER_PAGE * 2, 2)).unwrap();
         assert_eq!(
             store.file.page_count(),
             pages_before,
-            "freed pages found by the parallel scan are reused, not regrown"
+            "freed pages found by the open-time scan are reused, not regrown"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Default-size checkpoints that fill the 1,008 pages after the
+    /// superblock, 21 pages each: the scan reads them in four runs, the
+    /// last one short, and chains 12, 24 and 36 cross a run's end.
+    const DEFAULT_RECORDS: u64 = 48;
+
+    /// A fresh store of [`DEFAULT_RECORDS`] records, token `t` holding
+    /// pages `21t + 1 ..= 21t + 21`, synced.
+    fn store_of_default_records(path: &std::path::Path) -> SessionStore {
+        let _ = std::fs::remove_file(path);
+        let mut store = SessionStore::open(path, 0).unwrap();
+        for t in 0..DEFAULT_RECORDS {
+            store.put_unsynced(t, t, 0, &blob(82_473, t as u8)).unwrap();
+        }
+        store.sync().unwrap();
+        assert_eq!(store.file.page_count(), 1 + 21 * DEFAULT_RECORDS);
+        store
+    }
+
+    #[test]
+    fn chains_across_read_runs_reopen_and_a_torn_page_costs_only_its_chain() {
+        let path = tmp("scan-runs");
+        drop(store_of_default_records(&path));
+        let count = 1 + 21 * DEFAULT_RECORDS;
+        assert_ne!((count - 1) % SCAN_RUN_PAGES, 0, "the last run is short");
+        assert_eq!((1..count).step_by(SCAN_RUN_PAGES as usize).count(), 4);
+        let store = SessionStore::open(&path, 0).unwrap();
+        assert_eq!(store.len(), DEFAULT_RECORDS as usize);
+        for t in 0..DEFAULT_RECORDS {
+            assert_eq!(store.get(t).unwrap().1, blob(82_473, t as u8), "token {t}");
+        }
+        // Pages 253..=273 hold token 12: the first run ends at page 256.
+        assert_eq!(store.index[&12].pages, (253..=273).collect::<Vec<_>>());
+
+        // Tear page 310 of token 14, mid-way through the second run
+        // (pages 257..=512), which also holds tokens 12, 13 and 15 to 24.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[310 * PAGE_SIZE + PAGE_HEADER + 9] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let store = SessionStore::open(&path, 0).unwrap();
+        assert_eq!(store.len(), DEFAULT_RECORDS as usize - 1);
+        assert!(matches!(store.get(14), Err(StoreError::NotFound(_))));
+        for t in (0..DEFAULT_RECORDS).filter(|&t| t != 14) {
+            assert_eq!(store.get(t).unwrap().1, blob(82_473, t as u8), "token {t}");
+        }
+        assert_eq!(store.free, (295..=315).collect::<Vec<_>>());
         std::fs::remove_file(&path).unwrap();
     }
 
