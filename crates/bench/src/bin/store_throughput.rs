@@ -10,7 +10,7 @@
 //! fresh page file. The spill runs twice: once with `SessionStore::put`,
 //! one sync per session, and once as a group commit, every session
 //! through the write half (`put_unsynced`) and then one sync for all of
-//! them, as the server's background spill and its durability thread do.
+//! them, as the server's parks and its durability thread do.
 //! The recover leg reopens a group-commit-written file of
 //! `RECOVER_SESSIONS` checkpoints, long enough that the open-time scan
 //! reads it in many runs.

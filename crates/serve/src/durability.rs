@@ -5,10 +5,11 @@
 //! through the store's write halves, then asks for a sync with
 //! [`Durability::request`]. A reply that is a durability receipt
 //! (`PARKED_ACK`, `RESUMED`) passes a [`Waiter`] and is held until the
-//! thread reports a sync that began after the request; the timer-tick
-//! paths (background spill, sweeps, hot-tier eviction) ask with no
-//! waiter. Requests that arrive while a sync runs share the next one
-//! (group commit), so one sync can release many replies.
+//! thread reports a sync that began after the request; the other
+//! writers (teardown parks, sweeps, resumes that destroy an expired
+//! session) ask with no waiter. Requests that arrive while a sync runs
+//! share the next one (group commit), so one sync can release many
+//! replies.
 //!
 //! The thread only runs the sync function it was built with; it never
 //! takes the park's lock. Tests pass their own function to hold a sync

@@ -23,9 +23,8 @@
 //!   parked sessions are checkpointed to a durable [`cira_store`] page
 //!   file (when [`server::ServerConfig::park_dir`] is set), survive
 //!   `kill -9`, and are recovered — bit-identically — by the next
-//!   server process. Explicit `PARK` frames are write-through; teardown
-//!   parks spill in the background from the shards' timer ticks (rev
-//!   1.4);
+//!   server process. Every park, by a `PARK` frame or at a connection's
+//!   teardown, writes its checkpoint when it happens;
 //! * [`server`] — N sharded epoll event loops (thread-per-core, not
 //!   thread-per-connection): nonblocking sockets with per-connection
 //!   parse buffers and write queues, stable session affinity for

@@ -172,13 +172,13 @@ metrics_block! {
             "Wall-clock time to score one BATCH in microseconds";
     ];
     /// Rev 1.2 on: resumption and shedding (1.2), the durable park tier
-    /// (1.3), the event loop's recovery and background spill (1.4), and
-    /// the durability thread's syncs.
+    /// (1.3), the event loop's recovery (1.4), and the durability
+    /// thread's syncs.
     const REV_1_2 = [
         Gauge sessions_live, "server_sessions_live",
             "Sessions alive right now (attached or parked)";
         Counter sessions_parked, "server_sessions_parked_total",
-            "Sessions parked after an unclean disconnect";
+            "Sessions parked by a PARK frame or an unclean disconnect";
         Counter sessions_resumed, "server_sessions_resumed_total",
             "Sessions re-attached via RESUME";
         Counter resume_attempts, "server_resume_attempts_total",
@@ -205,8 +205,6 @@ metrics_block! {
             "Bytes of live checkpoint pages in the disk tier";
         Gauge store_recovery_ms, "server_store_recovery_ms",
             "Wall-clock milliseconds of the startup park recovery scan";
-        Counter park_bg_spilled, "server_park_bg_spilled_total",
-            "Hot parked sessions written to disk by the background spiller";
         Histogram park_sync_us, "server_park_sync_us",
             "Wall-clock microseconds of one park page-file sync";
     ];
@@ -502,20 +500,17 @@ mod tests {
     }
 
     #[test]
-    fn recovery_and_bg_spill_instruments() {
+    fn recovery_and_sync_instruments() {
         let m = Arc::new(ServerMetrics::new());
         m.store_recovery_ms.set(42);
-        m.park_bg_spilled.add(5);
         m.park_sync_us.record(150);
         let snap = m.snapshot();
         let get = |name: &str| snap.iter().find(|(n, _)| n == name).unwrap().1;
         assert_eq!(get("store_recovery_ms"), 42);
-        assert_eq!(get("park_bg_spilled"), 5);
         let reg = Registry::new("cira");
         m.register(&reg);
         let doc = cira_obs::promtext::Exposition::parse_validated(&reg.render()).unwrap();
         assert_eq!(doc.value("cira_server_store_recovery_ms"), Some(42.0));
-        assert_eq!(doc.value("cira_server_park_bg_spilled_total"), Some(5.0));
         assert_eq!(doc.histogram("cira_server_park_sync_us").unwrap().count, 1);
         assert!(
             snap.iter().all(|(n, _)| n != "park_sync_us"),

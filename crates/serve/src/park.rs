@@ -6,60 +6,43 @@
 //! back out and replay continues bit-identically from the last acked
 //! batch.
 //!
-//! # Two tiers (rev 1.3), background spill (rev 1.4)
+//! # Two tiers (rev 1.3)
 //!
 //! The park layers a hot tier over an optional durable tier:
 //!
-//! * the **hot tier** is a bounded in-memory deque of live [`Session`]s
-//!   — resuming from it costs nothing but a lookup;
 //! * the **disk tier** is a [`cira_store::SessionStore`] holding
-//!   serialized [`cira_store::Checkpoint`]s.
-//!
-//! How a session reaches disk depends on who parked it:
-//!
-//! * An explicit `PARK` frame ([`SessionPark::insert_durable`]) is
-//!   **write-through**: the checkpoint's pages are in the page file
-//!   before the call returns. `PARKED_ACK` is a durability receipt, so
-//!   the server holds it until a sync that began after those writes has
-//!   returned ([`ParkOutcome::wrote`]).
-//! * A teardown park ([`SessionPark::insert`] — connection died without
-//!   `GOODBYE`, idle eviction) is **lazy**: the session lands hot-only
-//!   and the *background spiller* ([`SessionPark::spill_step`], driven
-//!   from the shards' timer ticks) writes oldest-first batches through
-//!   later.
+//!   serialized [`cira_store::Checkpoint`]s. With one attached, every
+//!   park writes its checkpoint when it happens ([`SessionPark::insert`]),
+//!   so every parked session has a disk record, and the disk tier's byte
+//!   budget, not RAM, bounds the park;
+//! * the **hot tier** is a bounded in-memory deque of decoded
+//!   [`Session`]s. With a disk tier it is only a cache: evicting an entry
+//!   drops the decoded copy and keeps the record
+//!   ([`ParkOutcome::spilled`]), and a resume that misses it decodes the
+//!   checkpoint ([`Resumed::from_disk`]). Without a disk tier it is the
+//!   whole park, and eviction destroys state for good (rev 1.2).
 //!
 //! No method here syncs the page file except at startup recovery and
 //! shutdown: every write goes through the store's write halves, and the
 //! caller syncs through [`SessionPark::sync_handle`], off the park's
 //! lock. Each method reports whether it wrote, so the caller knows when
-//! a sync is owed. An entry's `durable` flag means "written"; the next
-//! sync makes it crash-safe.
+//! a sync is owed; a park is crash-safe once that sync returns.
 //!
-//! Lazy does not mean lossy: hot-tier eviction of a not-yet-spilled
-//! entry (capacity pressure) writes it through *at eviction* before the
-//! decoded copy is dropped, so pressure still spills to disk, never to
-//! oblivion — the park's real capacity remains the disk tier's byte
-//! budget, not RAM. Only a full disk tier downgrades an eviction to a
-//! real loss. A resume that misses the hot tier loads and decodes the
-//! checkpoint ([`Resumed::from_disk`] reports which path served it).
-//! With a disk tier but zero hot capacity, `insert` keeps rev 1.3
-//! write-through (there is no hot slot to be lazy in). Without a disk
-//! tier the old rev 1.2 semantics are unchanged: hot eviction destroys
-//! state for good.
-//!
-//! Expiry is tracked two ways for the same TTL: hot entries by a
-//! monotonic [`Instant`], disk records by an **absolute wall-clock
-//! deadline** (milliseconds since the Unix epoch) persisted in the
-//! record metadata — a relative TTL could not survive a restart.
-//! [`SessionPark::sweep`] enforces both; [`SessionPark::take`] refuses
-//! to resurrect anything expired between sweeps, and reports the
-//! session it destroyed ([`NotResumed::Destroyed`]) so the caller can
-//! account for it as a sweep would.
+//! Each parked session has one expiry: an **absolute wall-clock
+//! deadline** (milliseconds since the Unix epoch), kept with its hot copy
+//! and persisted in its disk record's metadata, since a relative TTL
+//! could not survive a restart. [`SessionPark::sweep`] and
+//! [`SessionPark::take`] each read the clock once and compare every
+//! deadline against that reading, so a session's two copies expire
+//! together and count once. `take` refuses to resurrect anything expired
+//! between sweeps, and reports the session it destroyed
+//! ([`NotResumed::Destroyed`]) so the caller can account for it as a
+//! sweep would.
 
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 use cira_store::{Checkpoint, SessionStore, StoreError, SyncHandle};
 
@@ -74,20 +57,20 @@ pub fn unix_now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// One detached session with its park timestamp and server session id.
+/// Whether a park `deadline_unix_ms` has passed at `now_ms`; 0 means no
+/// deadline.
+fn expired(deadline_unix_ms: u64, now_ms: u64) -> bool {
+    deadline_unix_ms != 0 && deadline_unix_ms < now_ms
+}
+
+/// One detached session with its server session id and expiry.
 #[derive(Debug)]
 struct Parked {
     token: u64,
     session_id: u64,
     session: Session,
-    at: Instant,
-    /// Absolute expiry persisted with the disk copy. Fixed at park time
-    /// so the background spiller writes the same deadline `insert`
-    /// would have.
+    /// Absolute expiry, the same value its disk record carries.
     deadline_unix_ms: u64,
-    /// Whether a disk copy was written (write-through or spill); the
-    /// next sync makes it crash-safe.
-    durable: bool,
 }
 
 /// What happened to a parked session and its neighbours.
@@ -97,22 +80,18 @@ pub struct ParkOutcome {
     pub evicted: usize,
     /// Hot entries dropped with their disk copy kept.
     pub spilled: usize,
-    /// The parked session's checkpoint was written to the disk tier.
-    pub persisted: bool,
-    /// The disk tier refused the write at capacity (the session may
-    /// still be parked hot-only).
-    pub store_full: bool,
     /// The call wrote pages that are crash-safe only once the next
     /// sync returns.
     pub wrote: bool,
 }
 
-/// Why [`SessionPark::insert_durable`] refused a park, handing the
-/// session back untouched.
+/// Why [`SessionPark::insert`] refused a park, handing the session back
+/// untouched.
 #[derive(Debug)]
 pub enum ParkRefusal {
-    /// The disk tier is at its byte budget; transient — retry after
-    /// sweeps or resumes free pages. Mirrors `BUSY` on the wire.
+    /// The disk tier refused the write: it is at its byte budget
+    /// (transient — retry after sweeps or resumes free pages; mirrors
+    /// `BUSY` on the wire), or the write failed.
     Full(Box<Session>),
     /// The server has no way to park at all (no disk tier and a zero
     /// hot capacity); permanent for this server configuration.
@@ -157,24 +136,13 @@ pub struct SweepOutcome {
     pub wrote: bool,
 }
 
-/// Background-spill step results.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SpillOutcome {
-    /// Hot-only sessions written through to disk by this step (not yet
-    /// synced).
-    pub written: usize,
-    /// The step stopped early because the disk tier is at capacity;
-    /// the remaining hot-only entries stay pending for a later step.
-    pub store_full: bool,
-}
-
 /// Bounded, TTL-evicting, optionally durable store of detached
 /// sessions, keyed by token.
 ///
 /// The hot tier is a deque ordered by park time: sessions are only
-/// ever pushed at the back and scanned from the front, so capacity and
-/// TTL eviction are O(evicted) per call. The disk tier is keyed by
-/// token with its own byte budget.
+/// ever pushed at the back and evicted from the front, so capacity
+/// eviction is O(evicted) per call. The disk tier is keyed by token
+/// with its own byte budget.
 #[derive(Debug)]
 pub struct SessionPark {
     capacity: usize,
@@ -231,7 +199,7 @@ impl SessionPark {
         // all the removals.
         let now = unix_now_ms();
         for (token, meta) in store.entries() {
-            if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < now {
+            if expired(meta.deadline_unix_ms, now) {
                 let _ = store.remove_unsynced(token);
             }
         }
@@ -278,55 +246,20 @@ impl SessionPark {
         unix_now_ms().saturating_add(self.ttl.as_millis() as u64)
     }
 
-    /// Parks a detached session *lazily*: into the hot tier only, with
-    /// the disk write deferred to the background spiller
-    /// ([`Self::spill_step`]) or, under capacity pressure, to eviction
-    /// time. The one exception is a disk tier with zero hot capacity,
-    /// where write-through is the only way to park at all.
-    pub fn insert(&self, token: u64, session_id: u64, session: Session) -> ParkOutcome {
-        let mut outcome = ParkOutcome::default();
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let deadline = self.deadline_unix_ms();
-        if self.capacity == 0 {
-            if let Some(store) = inner.disk.as_mut() {
-                let blob = session.to_checkpoint(session_id).encode();
-                match store.put_unsynced(token, session_id, deadline, &blob) {
-                    Ok(()) => outcome.persisted = true,
-                    Err(StoreError::Full { .. }) => outcome.store_full = true,
-                    Err(e) => {
-                        cira_obs::warn!(
-                            "park write-through failed",
-                            token = token,
-                            error = format!("{e}")
-                        );
-                    }
-                }
-            }
-            if !outcome.persisted {
-                outcome.evicted = 1; // dropped on the floor: parking disabled/full
-            }
-            outcome.wrote = outcome.persisted;
-            return outcome;
-        }
-        Self::hot_insert(
-            inner,
-            self.capacity,
-            &mut outcome,
-            token,
-            session_id,
-            session,
-            deadline,
-        );
-        outcome
-    }
-
-    /// Parks only if the session will survive: written to the disk tier
-    /// when one exists (crash-safe once the next sync returns), hot
-    /// otherwise. A full disk tier or a park-less server hands the
-    /// session back untouched instead of degrading — the caller can keep
-    /// it attached and tell the client why.
-    pub fn insert_durable(
+    /// Parks a detached session. With a disk tier its checkpoint is
+    /// written first (crash-safe once the next sync returns,
+    /// [`ParkOutcome::wrote`]) and the hot tier keeps a decoded copy when
+    /// it has room; without one the hot tier is the park. Either way the
+    /// oldest hot entries make room: spilled when their record stays on
+    /// disk, evicted for good otherwise.
+    ///
+    /// # Errors
+    ///
+    /// A disk tier that refuses the write, or a park-less server, hands
+    /// the session back untouched ([`ParkRefusal`]) rather than keeping
+    /// it with less durability than promised: the caller decides whether
+    /// it stays attached or is destroyed.
+    pub fn insert(
         &self,
         token: u64,
         session_id: u64,
@@ -335,82 +268,31 @@ impl SessionPark {
         let mut outcome = ParkOutcome::default();
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
-        let deadline = self.deadline_unix_ms();
+        let deadline_unix_ms = self.deadline_unix_ms();
         if let Some(store) = inner.disk.as_mut() {
             let blob = session.to_checkpoint(session_id).encode();
-            match store.put_unsynced(token, session_id, deadline, &blob) {
-                Ok(()) => {
-                    outcome.persisted = true;
-                    outcome.wrote = true;
-                }
-                Err(StoreError::Full { .. }) => return Err(ParkRefusal::Full(Box::new(session))),
-                Err(e) => {
+            if let Err(e) = store.put_unsynced(token, session_id, deadline_unix_ms, &blob) {
+                if !matches!(e, StoreError::Full { .. }) {
                     cira_obs::warn!(
                         "park write-through failed",
                         token = token,
                         error = format!("{e}")
                     );
-                    return Err(ParkRefusal::Full(Box::new(session)));
                 }
+                return Err(ParkRefusal::Full(Box::new(session)));
             }
+            outcome.wrote = true;
         }
         if self.capacity == 0 {
-            if outcome.persisted {
+            if outcome.wrote {
                 return Ok(outcome); // disk-only park
             }
             return Err(ParkRefusal::Disabled(Box::new(session)));
         }
-        Self::hot_insert(
-            inner,
-            self.capacity,
-            &mut outcome,
-            token,
-            session_id,
-            session,
-            deadline,
-        );
-        Ok(outcome)
-    }
-
-    /// Pushes into the hot tier, evicting or spilling the oldest
-    /// entries to stay within `capacity` (which must be nonzero). A
-    /// victim the background spiller has not reached yet is written
-    /// through here, at eviction — pressure spills to disk, not to
-    /// oblivion.
-    #[allow(clippy::too_many_arguments)]
-    fn hot_insert(
-        inner: &mut Inner,
-        capacity: usize,
-        outcome: &mut ParkOutcome,
-        token: u64,
-        session_id: u64,
-        session: Session,
-        deadline_unix_ms: u64,
-    ) {
-        while inner.hot.len() >= capacity {
-            let old = inner.hot.pop_front().expect("len checked");
-            if old.durable {
+        while inner.hot.len() >= self.capacity {
+            inner.hot.pop_front();
+            if inner.disk.is_some() {
                 outcome.spilled += 1;
-            } else if let Some(store) = inner.disk.as_mut() {
-                let blob = old.session.to_checkpoint(old.session_id).encode();
-                match store.put_unsynced(old.token, old.session_id, old.deadline_unix_ms, &blob) {
-                    Ok(()) => {
-                        outcome.spilled += 1;
-                        outcome.wrote = true;
-                    }
-                    Err(e) => {
-                        if matches!(e, StoreError::Full { .. }) {
-                            outcome.store_full = true;
-                        } else {
-                            cira_obs::warn!(
-                                "park eviction spill failed",
-                                token = old.token,
-                                error = format!("{e}")
-                            );
-                        }
-                        outcome.evicted += 1;
-                    }
-                }
             } else {
                 outcome.evicted += 1;
             }
@@ -419,65 +301,9 @@ impl SessionPark {
             token,
             session_id,
             session,
-            at: Instant::now(),
             deadline_unix_ms,
-            durable: outcome.persisted,
         });
-    }
-
-    /// One background-spill step: writes up to `max_n` of the oldest
-    /// hot-only (not yet written) sessions through to the disk tier,
-    /// marking them durable in place. Called from the shards' timer
-    /// ticks; the step writes without syncing, so the caller owes one
-    /// sync for the whole step. A full disk tier stops the step early
-    /// ([`SpillOutcome::store_full`]); the remainder stays pending for a
-    /// later step, after sweeps or resumes free pages. A no-op without
-    /// a disk tier.
-    pub fn spill_step(&self, max_n: usize) -> SpillOutcome {
-        let mut outcome = SpillOutcome::default();
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let Some(store) = inner.disk.as_mut() else {
-            return outcome;
-        };
-        for p in inner.hot.iter_mut() {
-            if outcome.written >= max_n {
-                break;
-            }
-            if p.durable {
-                continue;
-            }
-            let blob = p.session.to_checkpoint(p.session_id).encode();
-            match store.put_unsynced(p.token, p.session_id, p.deadline_unix_ms, &blob) {
-                Ok(()) => {
-                    p.durable = true;
-                    outcome.written += 1;
-                }
-                Err(StoreError::Full { .. }) => {
-                    outcome.store_full = true;
-                    break; // retrying every entry would thrash a full tier
-                }
-                Err(e) => {
-                    cira_obs::warn!(
-                        "park background spill failed",
-                        token = p.token,
-                        error = format!("{e}")
-                    );
-                    break;
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Hot sessions the background spiller has not written through yet
-    /// (always 0 without a disk tier — there is nowhere to spill to).
-    pub fn pending_spill(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        if inner.disk.is_none() {
-            return 0;
-        }
-        inner.hot.iter().filter(|p| !p.durable).count()
+        Ok(outcome)
     }
 
     /// Takes the session parked under `token`: from the hot tier when
@@ -492,17 +318,16 @@ impl SessionPark {
     ///
     /// [`NotResumed`] when no session comes back.
     pub fn take(&self, token: u64) -> Result<Resumed, NotResumed> {
+        let now = unix_now_ms();
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         if let Some(idx) = inner.hot.iter().position(|p| p.token == token) {
             let p = inner.hot.remove(idx).expect("index from position");
-            let mut wrote = false;
-            if p.durable {
-                if let Some(store) = inner.disk.as_mut() {
-                    wrote = store.remove_unsynced(token).is_ok();
-                }
-            }
-            if p.at.elapsed() > self.ttl {
+            let wrote = inner
+                .disk
+                .as_mut()
+                .is_some_and(|store| store.remove_unsynced(token).is_ok());
+            if expired(p.deadline_unix_ms, now) {
                 return Err(NotResumed::Destroyed { wrote }); // expired between sweeps
             }
             return Ok(Resumed {
@@ -528,7 +353,7 @@ impl SessionPark {
             );
             destroyed
         })?;
-        if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < unix_now_ms() {
+        if expired(meta.deadline_unix_ms, now) {
             return Err(destroyed); // expired on disk between sweeps
         }
         let checkpoint = Checkpoint::decode(&blob).map_err(|e| {
@@ -547,44 +372,40 @@ impl SessionPark {
         })
     }
 
-    /// Drops every session parked longer than the TTL — hot entries by
-    /// monotonic age, disk records by their absolute deadline — and
-    /// returns how many unique sessions were destroyed. Disk removals
-    /// are written, not synced ([`SweepOutcome::wrote`]).
+    /// Drops every session past its deadline and returns how many unique
+    /// sessions were destroyed. With a disk tier those are its expired
+    /// records, and their hot copies, which carry the same deadline, go
+    /// with them; disk removals are written, not synced
+    /// ([`SweepOutcome::wrote`]).
     pub fn sweep(&self) -> SweepOutcome {
+        let now = unix_now_ms();
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let mut outcome = SweepOutcome::default();
-        while inner.hot.front().is_some_and(|p| p.at.elapsed() > self.ttl) {
-            let p = inner.hot.pop_front().expect("front checked");
-            if p.durable {
-                if let Some(store) = inner.disk.as_mut() {
-                    outcome.wrote |= store.remove_unsynced(p.token).is_ok();
+        let hot_before = inner.hot.len();
+        inner.hot.retain(|p| !expired(p.deadline_unix_ms, now));
+        match inner.disk.as_mut() {
+            Some(store) => {
+                for (token, meta) in store.entries() {
+                    if expired(meta.deadline_unix_ms, now) {
+                        outcome.wrote |= store.remove_unsynced(token).is_ok();
+                        outcome.expired += 1;
+                    }
                 }
             }
-            outcome.expired += 1;
-        }
-        if let Some(store) = inner.disk.as_mut() {
-            // Anything left on disk past its deadline is a spilled or
-            // recovered record (hot copies were just handled above).
-            let now = unix_now_ms();
-            for (token, meta) in store.entries() {
-                if meta.deadline_unix_ms != 0 && meta.deadline_unix_ms < now {
-                    outcome.wrote |= store.remove_unsynced(token).is_ok();
-                    outcome.expired += 1;
-                }
-            }
+            None => outcome.expired = hot_before - inner.hot.len(),
         }
         outcome
     }
 
-    /// Unique sessions currently parked (hot-only entries plus every
-    /// disk record; write-through entries count once).
+    /// Unique sessions currently parked: every disk record with a disk
+    /// tier, every hot entry without one.
     pub fn len(&self) -> usize {
         let inner = self.inner.lock().unwrap();
-        let hot_only = inner.hot.iter().filter(|p| !p.durable).count();
-        let disk = inner.disk.as_ref().map_or(0, SessionStore::len);
-        hot_only + disk
+        match &inner.disk {
+            Some(store) => store.len(),
+            None => inner.hot.len(),
+        }
     }
 
     /// Whether the park is empty.
@@ -604,40 +425,24 @@ impl SessionPark {
         inner.disk.as_ref().map_or(0, SessionStore::bytes_used)
     }
 
-    /// Shuts the park down. Without a disk tier, every parked session is
-    /// dropped (rev 1.2 `clear`). With one, hot-only entries are written
-    /// through first and one sync covers them and every earlier write,
-    /// so every parked session survives the restart. Returns
-    /// `(persisted, dropped)` — sessions made durable on the way down,
-    /// and sessions destroyed for good (a failed final sync counts the
-    /// sessions it should have covered as dropped).
-    pub fn shutdown_drain(&self) -> (usize, usize) {
+    /// Shuts the park down and returns how many parked sessions were
+    /// destroyed for good. Without a disk tier that is every one of them
+    /// (rev 1.2 `clear`). With one, every parked session already has a
+    /// disk record; the decoded copies are dropped and one sync covers
+    /// every write, so every parked session survives the restart (a
+    /// failed sync is logged).
+    pub fn shutdown_drain(&self) -> usize {
         let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let mut persisted = 0;
-        let mut dropped = 0;
-        while let Some(p) = inner.hot.pop_front() {
-            if p.durable {
-                continue; // already on disk
-            }
-            match inner.disk.as_mut() {
-                Some(store) => {
-                    let blob = p.session.to_checkpoint(p.session_id).encode();
-                    match store.put_unsynced(p.token, p.session_id, p.deadline_unix_ms, &blob) {
-                        Ok(()) => persisted += 1,
-                        Err(_) => dropped += 1,
-                    }
+        let hot = std::mem::take(&mut inner.hot);
+        match inner.disk.as_mut() {
+            Some(store) => {
+                if let Err(e) = store.sync() {
+                    cira_obs::warn!("park shutdown sync failed", error = format!("{e}"));
                 }
-                None => dropped += 1,
+                0
             }
+            None => hot.len(),
         }
-        if let Some(store) = inner.disk.as_mut() {
-            if let Err(e) = store.sync() {
-                cira_obs::warn!("park shutdown sync failed", error = format!("{e}"));
-                return (0, persisted + dropped);
-            }
-        }
-        (persisted, dropped)
     }
 }
 
@@ -671,10 +476,16 @@ mod tests {
         dir.join("park.cirstore")
     }
 
+    /// Whether the disk tier holds writes no sync has covered yet.
+    fn unsynced(park: &SessionPark) -> bool {
+        let inner = park.inner.lock().unwrap();
+        inner.disk.as_ref().unwrap().has_unsynced()
+    }
+
     #[test]
     fn insert_take_roundtrip() {
         let park = SessionPark::new(4, Duration::from_secs(60));
-        let outcome = park.insert(7, 100, session(7));
+        let outcome = park.insert(7, 100, session(7)).unwrap();
         assert_eq!(outcome, ParkOutcome::default());
         assert_eq!(park.len(), 1);
         let r = park.take(7).unwrap();
@@ -691,7 +502,7 @@ mod tests {
     #[test]
     fn unknown_token_is_none() {
         let park = SessionPark::new(4, Duration::from_secs(60));
-        park.insert(1, 1, session(1));
+        park.insert(1, 1, session(1)).unwrap();
         assert_eq!(park.take(2).err(), Some(NotResumed::Unknown));
         assert_eq!(park.len(), 1, "miss must not disturb other entries");
     }
@@ -699,9 +510,9 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest_first() {
         let park = SessionPark::new(2, Duration::from_secs(60));
-        assert_eq!(park.insert(1, 1, session(1)).evicted, 0);
-        assert_eq!(park.insert(2, 2, session(2)).evicted, 0);
-        assert_eq!(park.insert(3, 3, session(3)).evicted, 1);
+        assert_eq!(park.insert(1, 1, session(1)).unwrap().evicted, 0);
+        assert_eq!(park.insert(2, 2, session(2)).unwrap().evicted, 0);
+        assert_eq!(park.insert(3, 3, session(3)).unwrap().evicted, 1);
         assert_eq!(
             park.take(1).err(),
             Some(NotResumed::Unknown),
@@ -714,7 +525,10 @@ mod tests {
     #[test]
     fn zero_capacity_disables_parking() {
         let park = SessionPark::new(0, Duration::from_secs(60));
-        assert_eq!(park.insert(1, 1, session(1)).evicted, 1);
+        assert!(matches!(
+            park.insert(1, 1, session(1)),
+            Err(ParkRefusal::Disabled(_))
+        ));
         assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
         assert!(park.is_empty());
     }
@@ -722,14 +536,14 @@ mod tests {
     #[test]
     fn ttl_sweeps_and_blocks_expired_take() {
         let park = SessionPark::new(4, Duration::from_millis(0));
-        park.insert(1, 1, session(1));
+        park.insert(1, 1, session(1)).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(
             park.take(1).err(),
             Some(NotResumed::Destroyed { wrote: false }),
             "expired entries never resurrect"
         );
-        park.insert(2, 2, session(2));
+        park.insert(2, 2, session(2)).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(park.sweep().expired, 1);
         assert!(park.is_empty());
@@ -740,14 +554,14 @@ mod tests {
         let path = tmp("expired-take");
         let _ = std::fs::remove_file(&path);
         let (park, _) = SessionPark::with_disk(1, Duration::from_millis(1), &path, 0).unwrap();
-        park.insert(1, 1, small_session(1));
-        // The second park pushes the first out of the one hot slot to disk.
-        assert_eq!(park.insert(2, 2, small_session(2)).spilled, 1);
+        park.insert(1, 1, small_session(1)).unwrap();
+        // The second park pushes the first out of the one hot slot.
+        assert_eq!(park.insert(2, 2, small_session(2)).unwrap().spilled, 1);
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(
             park.take(2).err(),
-            Some(NotResumed::Destroyed { wrote: false }),
-            "an expired hot entry"
+            Some(NotResumed::Destroyed { wrote: true }),
+            "an expired hot entry, with its disk record"
         );
         assert_eq!(
             park.take(1).err(),
@@ -761,11 +575,43 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_counts_an_expired_session_once() {
+        let path = tmp("sweep-once");
+        let _ = std::fs::remove_file(&path);
+        let (park, _) = SessionPark::with_disk(4, Duration::from_millis(40), &path, 0).unwrap();
+        park.insert(1, 1, small_session(1)).unwrap();
+        {
+            // Backdate the session's one deadline to 1 ms ago, on its hot
+            // copy and its disk record alike.
+            let mut inner = park.inner.lock().unwrap();
+            let inner = &mut *inner;
+            let deadline = unix_now_ms() - 1;
+            inner.hot[0].deadline_unix_ms = deadline;
+            let store = inner.disk.as_mut().unwrap();
+            let (meta, blob) = store.get(1).unwrap();
+            store
+                .put_unsynced(1, meta.session_id, deadline, &blob)
+                .unwrap();
+        }
+        let first = park.sweep();
+        std::thread::sleep(Duration::from_millis(60));
+        let second = park.sweep();
+        assert_eq!(
+            first.expired + second.expired,
+            1,
+            "both copies expire together and count once"
+        );
+        assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
+        assert!(park.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn shutdown_drain_without_disk_drops_all() {
         let park = SessionPark::new(4, Duration::from_secs(60));
-        park.insert(1, 1, session(1));
-        park.insert(2, 2, session(2));
-        assert_eq!(park.shutdown_drain(), (0, 2));
+        park.insert(1, 1, session(1)).unwrap();
+        park.insert(2, 2, session(2)).unwrap();
+        assert_eq!(park.shutdown_drain(), 2);
         assert!(park.is_empty());
     }
 
@@ -786,21 +632,10 @@ mod tests {
             assert_eq!(recovered, 0);
             let mut s = session(9);
             s.apply_batch(0, &head);
-            let outcome = park.insert(9, 42, s);
-            assert!(!outcome.persisted, "teardown parks are lazy (rev 1.4)");
+            let outcome = park.insert(9, 42, s).unwrap();
+            assert!(outcome.wrote, "every park writes its checkpoint");
             assert_eq!(outcome.evicted, 0);
-            assert_eq!(park.pending_spill(), 1);
-            // The background spiller (a shard tick, in production) makes
-            // it durable before the process dies.
-            assert_eq!(
-                park.spill_step(16),
-                SpillOutcome {
-                    written: 1,
-                    store_full: false
-                }
-            );
-            assert_eq!(park.pending_spill(), 0);
-        } // process "dies" — nothing flushed beyond the spill's own sync
+        } // process "dies" — nothing synced or drained
 
         let (park, recovered) =
             SessionPark::with_disk(4, Duration::from_secs(60), &path, 0).unwrap();
@@ -823,15 +658,15 @@ mod tests {
         let path = tmp("spill");
         let _ = std::fs::remove_file(&path);
         let (park, _) = SessionPark::with_disk(2, Duration::from_secs(60), &path, 0).unwrap();
-        assert!(!park.insert(1, 1, session(1)).persisted, "lazy park");
-        assert!(!park.insert(2, 2, session(2)).persisted, "lazy park");
-        // The spiller never ran, so the eviction itself must write the
-        // victim through before dropping the decoded copy.
-        let outcome = park.insert(3, 3, session(3));
+        park.insert(1, 1, session(1)).unwrap();
+        park.insert(2, 2, session(2)).unwrap();
+        // Eviction drops only the decoded copy: the record was written
+        // when the session parked.
+        let outcome = park.insert(3, 3, session(3)).unwrap();
         assert_eq!(outcome.spilled, 1, "evicted entries spill to disk");
         assert_eq!(outcome.evicted, 0, "nothing is destroyed");
         assert_eq!(park.len(), 3, "all three sessions remain parked");
-        assert_eq!(park.disk_records(), 1, "only the victim was written");
+        assert_eq!(park.disk_records(), 3, "every park has a record");
         let r = park.take(1).unwrap();
         assert!(r.from_disk, "spilled session resumes from disk");
         assert!(!park.take(3).unwrap().from_disk, "recent session is hot");
@@ -839,61 +674,20 @@ mod tests {
     }
 
     #[test]
-    fn background_spill_writes_oldest_first_in_batches() {
-        let path = tmp("bgspill");
-        let _ = std::fs::remove_file(&path);
-        let (park, _) = SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
-        for t in 1..=5u64 {
-            park.insert(t, t, session(t));
-        }
-        assert_eq!(park.pending_spill(), 5);
-        assert_eq!(park.disk_records(), 0, "nothing written at insert time");
-        assert_eq!(
-            park.spill_step(2),
-            SpillOutcome {
-                written: 2,
-                store_full: false
-            }
-        );
-        assert_eq!(park.pending_spill(), 3);
-        assert_eq!(park.disk_records(), 2);
-        assert_eq!(park.spill_step(usize::MAX).written, 3);
-        assert_eq!(park.pending_spill(), 0);
-        assert_eq!(park.disk_records(), 5);
-        assert_eq!(
-            park.spill_step(usize::MAX),
-            SpillOutcome::default(),
-            "idempotent when drained"
-        );
-        assert_eq!(park.len(), 5, "spilled entries still count once");
-        // Spilled-but-hot entries resume from the hot tier and release
-        // their disk copy.
-        let r = park.take(1).unwrap();
-        assert!(!r.from_disk);
-        assert_eq!(park.disk_records(), 4, "resume removes the disk copy");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn a_spill_step_writes_without_syncing_and_one_sync_covers_it() {
-        let path = tmp("spill-one-sync");
+    fn parks_write_without_syncing_and_one_sync_covers_them() {
+        let path = tmp("park-one-sync");
         let _ = std::fs::remove_file(&path);
         let (park, _) = SessionPark::with_disk(16, Duration::from_secs(60), &path, 0).unwrap();
         let handle = park.sync_handle().unwrap().expect("disk tier");
-        let unsynced = || {
-            let inner = park.inner.lock().unwrap();
-            inner.disk.as_ref().unwrap().has_unsynced()
-        };
+        assert!(!unsynced(&park));
         for t in 1..=8u64 {
-            park.insert(t, t, small_session(t));
+            assert!(park.insert(t, t, small_session(t)).unwrap().wrote);
         }
-        assert!(!unsynced());
-        assert_eq!(park.spill_step(usize::MAX).written, 8);
-        assert!(unsynced(), "the step itself must not sync");
+        assert!(unsynced(&park), "an insert must not sync");
         handle.sync().unwrap();
-        assert!(!unsynced(), "one sync covers the whole step");
+        assert!(!unsynced(&park), "one sync covers all eight");
         // A copy of the file as that sync left it holds all eight.
-        let image = path.with_file_name("spill-one-sync.image");
+        let image = path.with_file_name("park-one-sync.image");
         std::fs::copy(&path, &image).unwrap();
         let (recovered, n) =
             SessionPark::with_disk(16, Duration::from_secs(60), &image, 0).unwrap();
@@ -904,64 +698,48 @@ mod tests {
     }
 
     #[test]
-    fn background_spill_survives_kill_between_ticks() {
-        let path = tmp("bgspill-crash");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (park, _) = SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
-            park.insert(1, 1, session(1));
-            park.insert(2, 2, session(2));
-            assert_eq!(park.spill_step(1).written, 1, "one tick fired");
-        } // kill -9 before the next tick: only the spilled entry survives
-        let (park, recovered) =
-            SessionPark::with_disk(8, Duration::from_secs(60), &path, 0).unwrap();
-        assert_eq!(recovered, 1, "lazy window is bounded by the tick cadence");
-        assert!(park.take(1).unwrap().from_disk, "oldest was spilled first");
-        assert_eq!(park.take(2).err(), Some(NotResumed::Unknown));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn disk_capacity_reports_store_full() {
         let path = tmp("full");
         let _ = std::fs::remove_file(&path);
         // Room for two single-page checkpoints only.
         let (park, _) =
             SessionPark::with_disk(8, Duration::from_secs(60), &path, 2 * 4096).unwrap();
-        park.insert(1, 1, small_session(1));
-        park.insert(2, 2, small_session(2));
-        park.insert(3, 3, small_session(3));
-        let outcome = park.spill_step(usize::MAX);
-        assert_eq!(outcome.written, 2, "the tier takes what fits");
-        assert!(outcome.store_full, "and reports the stall");
-        assert_eq!(park.pending_spill(), 1, "the rest stays pending");
-        // The stalled session is still parked hot — resumable until
-        // restart.
-        assert!(!park.take(3).unwrap().from_disk);
+        park.insert(1, 1, small_session(1)).unwrap();
+        park.insert(2, 2, small_session(2)).unwrap();
+        let refused = match park.insert(3, 3, small_session(3)) {
+            Err(ParkRefusal::Full(s)) => *s,
+            other => panic!("expected Full, got {other:?}"),
+        };
+        assert_eq!(refused.token(), 3, "handed back");
+        assert_eq!(park.len(), 2, "the refused session is not parked");
+        assert_eq!(park.take(3).err(), Some(NotResumed::Unknown));
+        // The condition is transient: a resume frees its record's budget.
+        assert!(park.take(1).is_ok());
+        assert!(park.insert(3, 3, refused).unwrap().wrote);
+        assert_eq!(park.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn shutdown_drain_persists_hot_only_entries() {
+    fn shutdown_drain_syncs_and_every_parked_session_reopens() {
         let path = tmp("drain");
         let _ = std::fs::remove_file(&path);
         {
-            // Disk capacity 2 pages: the third park stays hot-only.
-            let (park, _) =
-                SessionPark::with_disk(8, Duration::from_secs(60), &path, 2 * 4096).unwrap();
-            park.insert(1, 1, small_session(1));
-            park.insert(2, 2, small_session(2));
-            park.insert(3, 3, small_session(3));
-            assert!(park.spill_step(usize::MAX).store_full);
-            // Make room, then drain: the hot-only session gets written.
-            let r = park.take(1).unwrap();
-            assert_eq!(r.session_id, 1);
-            assert_eq!(park.shutdown_drain(), (1, 0));
+            // Two hot slots for three sessions: one is on disk only.
+            let (park, _) = SessionPark::with_disk(2, Duration::from_secs(60), &path, 0).unwrap();
+            for t in 1..=3u64 {
+                park.insert(t, t, small_session(t)).unwrap();
+            }
+            assert!(unsynced(&park));
+            assert_eq!(park.shutdown_drain(), 0, "nothing is destroyed");
+            assert!(!unsynced(&park), "the drain syncs");
         }
         let (park, recovered) =
-            SessionPark::with_disk(8, Duration::from_secs(60), &path, 2 * 4096).unwrap();
-        assert_eq!(recovered, 2);
-        assert!(park.take(3).unwrap().from_disk);
+            SessionPark::with_disk(2, Duration::from_secs(60), &path, 0).unwrap();
+        assert_eq!(recovered, 3);
+        for t in 1..=3u64 {
+            assert!(park.take(t).unwrap().from_disk);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -972,8 +750,8 @@ mod tests {
         {
             let (park, _) = SessionPark::with_disk(0, Duration::from_millis(1), &path, 0).unwrap();
             // Zero hot capacity: disk-only park.
-            let outcome = park.insert(5, 5, session(5));
-            assert!(outcome.persisted);
+            let outcome = park.insert(5, 5, session(5)).unwrap();
+            assert!(outcome.wrote);
             assert_eq!(outcome.evicted, 0, "persisted parks are not losses");
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -986,10 +764,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_durable_refuses_rather_than_degrades() {
+    fn insert_refuses_rather_than_degrades() {
         // No disk tier and no hot tier: parking is simply off.
         let park = SessionPark::new(0, Duration::from_secs(60));
-        match park.insert_durable(1, 1, small_session(1)) {
+        match park.insert(1, 1, small_session(1)) {
             Err(ParkRefusal::Disabled(s)) => assert_eq!(s.token(), 1),
             other => panic!("expected Disabled, got {other:?}"),
         }
@@ -999,17 +777,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (park, _) =
             SessionPark::with_disk(8, Duration::from_secs(60), &path, 2 * 4096).unwrap();
-        assert!(
-            park.insert_durable(1, 1, small_session(1))
-                .unwrap()
-                .persisted
-        );
-        assert!(
-            park.insert_durable(2, 2, small_session(2))
-                .unwrap()
-                .persisted
-        );
-        match park.insert_durable(3, 3, small_session(3)) {
+        assert!(park.insert(1, 1, small_session(1)).unwrap().wrote);
+        assert!(park.insert(2, 2, small_session(2)).unwrap().wrote);
+        match park.insert(3, 3, small_session(3)) {
             Err(ParkRefusal::Full(s)) => assert_eq!(s.token(), 3),
             other => panic!("expected Full, got {other:?}"),
         }

@@ -93,8 +93,10 @@
 //!   `ERROR` frame (e.g. `PARK` on a server with parking disabled).
 //!
 //! Rev **1.4** (the thread-per-core event loop) changes no frame
-//! encodings; it only appends `STATS_REPLY` names (`store_recovery_ms`,
-//! `park_bg_spilled`), which the self-describing pair format absorbs.
+//! encodings; it only appends `STATS_REPLY` names, which the
+//! self-describing pair format absorbs: `store_recovery_ms`, and a count
+//! of background spills that is gone again now that every park writes
+//! its checkpoint when it happens.
 //!
 //! Rev **1.5** adds the `TRACE_DUMP` / `TRACE_DUMP_REPLY` frame pair,
 //! 0x0a / 0x8a: the flight recorder's Chrome trace-event JSON over the

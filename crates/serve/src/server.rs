@@ -30,8 +30,7 @@
 //!   peer that stops reading its acks trips the per-frame
 //!   [`ServerConfig::write_timeout_ms`] deadline instead of pinning a
 //!   thread.
-//! * **Timers** — park TTL sweeps, background spill of hot-only parked
-//!   sessions to the disk tier, idle eviction, slow-loris stall
+//! * **Timers** — park TTL sweeps, idle eviction, slow-loris stall
 //!   tracking, and write deadlines — all run as shard-local ticks every
 //!   `TICK_MS` (100 ms).
 //! * **Durability**: with a disk park tier, one more thread
@@ -67,7 +66,7 @@ use crate::durability::{Durability, Waiter};
 use crate::event::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::frame::{FrameBuffer, FrameError, Ingest, DEFAULT_MAX_FRAME};
 use crate::metrics::{register_shards, ServerMetrics, ShardMetrics};
-use crate::park::{NotResumed, ParkRefusal, SessionPark};
+use crate::park::{NotResumed, ParkOutcome, ParkRefusal, SessionPark};
 use crate::proto::{code, decode_client, encode_server, ClientFrame, ServerFrame, PROTO_VERSION};
 use crate::session::Session;
 use crate::shutdown::ShutdownToken;
@@ -81,14 +80,12 @@ const LISTEN_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 /// Ready events fetched per `epoll_wait`.
 const EVENTS_PER_WAIT: usize = 128;
-/// Hot-only parked sessions written to disk per background spill step.
-const SPILL_BATCH: usize = 32;
 /// Parsed-but-undispatched frames tolerated beyond `max_inflight`
 /// before a connection's read interest is dropped (control frames are
 /// cheap; only batches count against `max_inflight` itself).
 const PARSED_HEADROOM: usize = 16;
 /// Shard timer tick, milliseconds: the epoll wait timeout, and the
-/// cadence of sweeps, spills, idle/stall checks, write deadlines.
+/// cadence of sweeps, idle/stall checks, write deadlines.
 const TICK_MS: u64 = 100;
 /// Mid-frame silence tolerated before the peer is dropped as a
 /// slow-loris, milliseconds.
@@ -125,8 +122,9 @@ pub struct ServerConfig {
     /// `kill -9`. `None` keeps parking in-memory only.
     pub park_dir: Option<PathBuf>,
     /// Byte budget for the durable park tier's page file; `0` means
-    /// unlimited. When exhausted, parks degrade (teardown parks stay
-    /// hot-only) or are refused with `STORE_FULL` (explicit `PARK`).
+    /// unlimited. When exhausted, an explicit `PARK` is refused with
+    /// `STORE_FULL`, its session still attached, and a teardown park
+    /// destroys its session.
     pub park_disk_capacity: u64,
     /// Address for the HTTP listener that serves `GET /metrics` and
     /// `GET /trace` (e.g. `127.0.0.1:9184`), or `None` for none: the
@@ -182,11 +180,6 @@ struct Shared {
     /// shard's tick, deadline-guarded so only one shard actually runs
     /// it.
     next_sweep: Mutex<Instant>,
-    /// How often a background spill step runs.
-    spill_every: Duration,
-    /// Monotonic deadline for the next spill step; same guard pattern
-    /// as `next_sweep`.
-    next_spill: Mutex<Instant>,
     /// The thread that syncs the park's page file; present exactly when
     /// the park has a disk tier.
     durability: Option<Durability>,
@@ -272,40 +265,6 @@ impl Shared {
         self.publish_store_gauges();
     }
 
-    /// Writes a bounded batch of hot-only parked sessions through to the
-    /// disk tier if the spill deadline has passed (rev 1.4), then hands
-    /// one sync for the whole batch to the durability thread: teardown
-    /// parks are durable within a tick or two of parking, and neither
-    /// the connection nor the shard waits on an fsync. A full store
-    /// stops the step quietly — the next explicit `PARK` reports
-    /// `STORE_FULL`; the background path just retries after the next
-    /// eviction or sweep.
-    fn maybe_spill(&self) {
-        if !self.park.has_disk() {
-            return;
-        }
-        let now = Instant::now();
-        {
-            let mut next = self.next_spill.lock().unwrap_or_else(|e| e.into_inner());
-            if *next > now {
-                return;
-            }
-            *next = now + self.spill_every;
-        }
-        let span = trace::Span::begin(Stage::ParkSpill, 0, 0, trace::NO_SHARD);
-        let outcome = self.park.spill_step(SPILL_BATCH);
-        if outcome.written > 0 {
-            span.end_with(outcome.written as u64);
-            self.request_sync(None);
-            self.metrics.park_bg_spilled.add(outcome.written as u64);
-            self.publish_store_gauges();
-            cira_obs::debug!(
-                "parked sessions spilled in background",
-                written = outcome.written
-            );
-        }
-    }
-
     /// Refreshes the disk-tier gauges (record and byte footprint) after
     /// any park mutation.
     fn publish_store_gauges(&self) {
@@ -320,10 +279,10 @@ impl Shared {
             .set(self.park.disk_bytes() as i64);
     }
 
-    /// Applies a [`crate::park::ParkOutcome`]'s counter deltas: spills
-    /// keep their sessions (disk copy retained), evictions destroy them.
-    /// The caller owes the sync for `outcome.wrote`.
-    fn account_park(&self, outcome: &crate::park::ParkOutcome) {
+    /// Applies a [`ParkOutcome`]'s counter deltas: spills keep their
+    /// sessions (disk copy retained), evictions destroy them. The caller
+    /// owes the sync for `outcome.wrote`.
+    fn account_park(&self, outcome: &ParkOutcome) {
         if outcome.evicted > 0 {
             self.metrics
                 .park_evicted_capacity
@@ -332,9 +291,6 @@ impl Shared {
         }
         if outcome.spilled > 0 {
             self.metrics.park_spilled.add(outcome.spilled as u64);
-        }
-        if outcome.store_full {
-            self.metrics.park_store_full.inc();
         }
         self.publish_store_gauges();
     }
@@ -725,7 +681,7 @@ impl Shard {
         let Some(mut conn) = self.conns.remove(&conn_id) else {
             // Defensive: connections stay in the map while busy, so this
             // should not happen — but never silently lose a session.
-            self.park_orphan(active);
+            self.park_detached(conn_id, active);
             return;
         };
         if trace::enabled() {
@@ -833,21 +789,60 @@ impl Shard {
         );
     }
 
-    /// Parks a session whose connection vanished mid-run (mirrors the
-    /// teardown park path, minus the socket).
-    fn park_orphan(&self, active: Active) {
-        if self.cfg.park_capacity == 0 && !self.shared.park.has_disk() {
-            self.shared.metrics.sessions_live.dec();
-            return;
-        }
+    /// Inserts `session` into the park inside a `park_spill` span
+    /// attributed to connection `conn_token` (aux 1 when the park took
+    /// it).
+    fn park_insert(
+        &self,
+        conn_token: u64,
+        id: u64,
+        session: Session,
+    ) -> Result<ParkOutcome, ParkRefusal> {
+        trace::set_ctx(
+            conn_trace_id(self.index, conn_token),
+            session.token(),
+            self.index as u16,
+        );
+        let span = trace::Span::begin_ctx(Stage::ParkSpill);
+        let parked = self.shared.park.insert(session.token(), id, session);
+        span.end_with(parked.is_ok() as u64);
+        trace::clear_ctx();
+        parked
+    }
+
+    /// Parks the session of a connection that ended without `GOODBYE`
+    /// (a teardown, or a batch run whose connection is gone), and asks
+    /// for the sync its checkpoint owes. When the park refuses it —
+    /// the disk tier is full or failed the write, or parking is
+    /// disabled — the session is destroyed.
+    fn park_detached(&self, conn_token: u64, active: Active) {
         let token = active.session.token();
-        let outcome = self.shared.park.insert(token, active.id, active.session);
-        if outcome.wrote {
-            self.shared.request_sync(None);
-        }
-        self.shared.account_park(&outcome);
-        if self.cfg.park_capacity > 0 || outcome.persisted {
-            self.shared.metrics.sessions_parked.inc();
+        let metrics = &self.shared.metrics;
+        match self.park_insert(conn_token, active.id, active.session) {
+            Ok(outcome) => {
+                if outcome.wrote {
+                    self.shared.request_sync(None);
+                }
+                self.shared.account_park(&outcome);
+                metrics.sessions_parked.inc();
+                cira_obs::debug!(
+                    "session parked",
+                    session = active.id,
+                    token = token,
+                    shard = self.index,
+                );
+            }
+            Err(ParkRefusal::Full(_)) => {
+                // A park lost at capacity, as a full hot tier loses one.
+                metrics.park_store_full.inc();
+                metrics.park_evicted_capacity.inc();
+                metrics.sessions_live.dec();
+                cira_obs::warn!(
+                    "teardown park refused by the disk tier",
+                    session = active.id
+                );
+            }
+            Err(ParkRefusal::Disabled(_)) => metrics.sessions_live.dec(),
         }
     }
 
@@ -1125,42 +1120,11 @@ impl Shard {
         let _ = self.epoll.del(conn.fd);
         let metrics = &self.shared.metrics;
         if let Some(active) = conn.active.take() {
-            if clean || (self.cfg.park_capacity == 0 && !self.shared.park.has_disk()) {
+            if clean {
                 metrics.sessions_live.dec();
             } else {
                 // Park for RESUME; the last acked batch is durable state.
-                // The checkpoint reaches disk via the background spill
-                // within a tick or two (explicit PARK frames are written
-                // through, and their ack waits for the sync).
-                let token = active.session.token();
-                let session_id = active.id;
-                trace::set_ctx(
-                    conn_trace_id(self.index, conn.token),
-                    token,
-                    self.index as u16,
-                );
-                let span = trace::Span::begin_ctx(Stage::ParkSpill);
-                let outcome = self.shared.park.insert(token, session_id, active.session);
-                span.end_with(outcome.persisted as u64);
-                trace::clear_ctx();
-                if outcome.wrote {
-                    self.shared.request_sync(None);
-                }
-                self.shared.account_park(&outcome);
-                // `evicted` counts destroyed sessions; with hot capacity
-                // 0 and no disk write-through that is this session
-                // itself, i.e. it was not parked at all.
-                let parked = self.cfg.park_capacity > 0 || outcome.persisted;
-                if parked {
-                    metrics.sessions_parked.inc();
-                    cira_obs::debug!(
-                        "session parked",
-                        session = session_id,
-                        token = token,
-                        shard = self.index,
-                        durable = outcome.persisted,
-                    );
-                }
+                self.park_detached(conn.token, active);
             }
         }
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -1511,19 +1475,9 @@ impl Shard {
                 Action::Continue
             }
             ClientFrame::Park => {
-                let active = conn.active.take().expect("session checked above");
-                let Active { id, session } = active;
+                let Active { id, session } = conn.active.take().expect("session checked above");
                 let token = session.token();
-                trace::set_ctx(
-                    conn_trace_id(self.index, conn.token),
-                    token,
-                    self.index as u16,
-                );
-                let park_span = trace::Span::begin_ctx(Stage::ParkSpill);
-                let parked = self.shared.park.insert_durable(token, id, session);
-                park_span.end_with(parked.is_ok() as u64);
-                trace::clear_ctx();
-                match parked {
+                match self.park_insert(conn.token, id, session) {
                     Ok(outcome) => {
                         self.shared.account_park(&outcome);
                         // The ack is the durability receipt: with a disk
@@ -1578,8 +1532,8 @@ impl Shard {
         }
     }
 
-    /// The shard-local timer: park sweeps and spills, the parse-buffer
-    /// gauge, and per-connection stall/idle/write-deadline checks.
+    /// The shard-local timer: park sweeps, the parse-buffer gauge, and
+    /// per-connection stall/idle/write-deadline checks.
     fn tick(&mut self, dt: Duration) {
         // SIGUSR1 asks for an on-demand flight-recorder dump; the swap
         // in `take_usr1` means exactly one shard services each signal.
@@ -1600,7 +1554,6 @@ impl Shard {
             }
         }
         self.shared.maybe_sweep();
-        self.shared.maybe_spill();
         let dt_ms = dt.as_millis().min(u64::MAX as u128) as u64;
         let now = Instant::now();
         let idle_timeout = Duration::from_millis(self.cfg.idle_timeout_ms);
@@ -1753,15 +1706,11 @@ impl ServerHandle {
             d.stop();
         }
         // All shards have exited; drain the park exactly once. With a
-        // disk tier, hot-only parks are written through first and one
-        // sync covers everything, so every parked session survives the
-        // restart; without one they are destroyed (gauge stays honest
-        // either way — the process is exiting).
-        let (persisted, dropped) = self.shared.park.shutdown_drain();
+        // disk tier one sync covers every park, so every parked session
+        // survives the restart; without one they are destroyed (gauge
+        // stays honest either way — the process is exiting).
+        let dropped = self.shared.park.shutdown_drain();
         self.metrics.sessions_live.add(-(dropped as i64));
-        if persisted > 0 {
-            cira_obs::info!("parked sessions drained to disk", sessions = persisted);
-        }
         // Sockets still in flight between shards (shutdown races a
         // migration or a late accept) just close.
         for s in &self.shard_shared {
@@ -1882,9 +1831,6 @@ fn serve_with_sync_hook(
         // enough to keep expiry timely, rarely enough to stay cheap.
         sweep_every: Duration::from_millis((cfg.park_ttl_ms / 4).clamp(10, 1000)),
         next_sweep: Mutex::new(Instant::now()),
-        // Spill every tick: a teardown park is durable within ~2 ticks.
-        spill_every: Duration::from_millis(TICK_MS),
-        next_spill: Mutex::new(Instant::now()),
         durability,
     });
     shared.publish_store_gauges();
@@ -2005,45 +1951,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn a_spill_step_of_many_sessions_asks_for_one_sync() {
-        let dir = temp_dir("spill-sync");
-        let (park, _) =
-            SessionPark::with_disk(64, Duration::from_secs(60), &dir.join("park.cirstore"), 0)
-                .unwrap();
-        let handle = park.sync_handle().unwrap().expect("disk tier");
-        let syncs = Arc::new(AtomicUsize::new(0));
-        let counted = Arc::clone(&syncs);
-        let durability = Durability::spawn(move || {
-            counted.fetch_add(1, Ordering::Relaxed);
-            handle.sync()
-        })
-        .unwrap();
-        for t in 1..=SPILL_BATCH as u64 {
-            let session = Session::from_hello(&small_config(), t).unwrap();
-            park.insert(t, t, session);
-        }
-        let shared = Shared {
-            metrics: Arc::new(ServerMetrics::new()),
-            session_ids: AtomicU64::new(1),
-            token_seed: 0,
-            token_ids: AtomicU64::new(1),
-            park,
-            sweep_every: Duration::from_secs(1),
-            next_sweep: Mutex::new(Instant::now()),
-            spill_every: Duration::from_millis(TICK_MS),
-            next_spill: Mutex::new(Instant::now()),
-            durability: Some(durability),
-        };
-        shared.maybe_spill();
-        assert_eq!(shared.park.pending_spill(), 0);
-        assert_eq!(shared.metrics.park_bg_spilled.get(), SPILL_BATCH as u64);
-        shared.durability.as_ref().unwrap().stop();
-        assert_eq!(syncs.load(Ordering::Relaxed), 1, "one sync per spill step");
-        drop(shared);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2239,6 +2146,128 @@ mod tests {
             on_disk, expected,
             "{shards} shards: the crash image must hold exactly the acked, unresumed parks"
         );
+        handle.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Polls `done` every 5 ms until it holds, failing after 10 s.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_teardown_park_survives_a_crash_image() {
+        for shards in [1, 2] {
+            teardown_crash_image_body(shards);
+        }
+    }
+
+    /// A connection streams records and vanishes without `GOODBYE`. Its
+    /// session parks with no `PARK` frame, and a copy of the page file
+    /// taken after the next completed sync is a crash image that a fresh
+    /// server opens and resumes the session from, with the statistics of
+    /// a local reference session fed the same records.
+    fn teardown_crash_image_body(shards: usize) {
+        let dir = temp_dir(&format!("teardown-s{shards}"));
+        let file = dir.join("park.cirstore");
+        let image_dir = dir.join("image");
+        std::fs::create_dir_all(&image_dir).unwrap();
+        let image = image_dir.join("park.cirstore");
+        let syncs = Arc::new(AtomicUsize::new(0));
+        let hook: SyncHook = {
+            let (file, image, syncs) = (file.clone(), image.clone(), Arc::clone(&syncs));
+            Box::new(move |result| {
+                // Keep the first sync's copy; whole pages only.
+                if syncs.load(Ordering::SeqCst) == 0 {
+                    let mut bytes = std::fs::read(&file).unwrap();
+                    bytes.truncate(bytes.len() / PAGE_SIZE * PAGE_SIZE);
+                    std::fs::write(&image, &bytes).unwrap();
+                }
+                syncs.fetch_add(1, Ordering::SeqCst);
+                result
+            })
+        };
+        let cfg = ServerConfig {
+            shards,
+            park_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let handle =
+            serve_with_sync_hook("127.0.0.1:0", cfg, WorkerPool::global(), Some(hook)).unwrap();
+        let addr = handle.local_addr().to_string();
+        let trace: PackedTrace = cira_trace::suite::ibs_like_suite()[0]
+            .walker()
+            .take(2_048)
+            .collect();
+        let mut reference = Session::from_hello(&small_config(), 0).unwrap();
+        reference.apply_batch(0, &trace);
+
+        let mut client = Client::connect(&addr, small_config()).unwrap();
+        client.stream(&trace, 512).unwrap();
+        assert_eq!(syncs.load(Ordering::SeqCst), 0, "a sync before the park");
+        drop(client); // no GOODBYE
+        wait_for("a sync after the disconnect", || {
+            syncs.load(Ordering::SeqCst) > 0
+        });
+        assert_eq!(handle.metrics().sessions_parked.get(), 1);
+        let tokens = image_tokens(&image, &dir.join("check.cirstore"));
+        assert_eq!(tokens.len(), 1, "{shards} shards: the image holds the park");
+        let token = *tokens.iter().next().unwrap();
+
+        // The first server keeps running; the second sees only the image.
+        let cfg = ServerConfig {
+            shards,
+            park_dir: Some(image_dir),
+            ..ServerConfig::default()
+        };
+        let restarted = serve("127.0.0.1:0", cfg, WorkerPool::global()).unwrap();
+        let mut resumed = Client::builder(&restarted.local_addr().to_string())
+            .resume(token)
+            .unwrap();
+        assert_eq!(
+            resumed.snapshot().unwrap(),
+            reference.snapshot(),
+            "{shards} shards: the resumed session matches the local reference"
+        );
+        assert_eq!(restarted.metrics().park_loaded.get(), 1, "resumed off disk");
+        resumed.goodbye().unwrap();
+        restarted.shutdown_and_join();
+        handle.shutdown_and_join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_teardown_park_the_disk_tier_refuses_destroys_the_session() {
+        let dir = temp_dir("teardown-full");
+        let cfg = ServerConfig {
+            shards: 1,
+            park_dir: Some(dir.clone()),
+            // Smaller than any checkpoint: every park is refused.
+            park_disk_capacity: 1,
+            ..ServerConfig::default()
+        };
+        let handle = serve("127.0.0.1:0", cfg, WorkerPool::global()).unwrap();
+        let addr = handle.local_addr().to_string();
+        let trace: PackedTrace = cira_trace::suite::ibs_like_suite()[0]
+            .walker()
+            .take(512)
+            .collect();
+        let mut client = Client::connect(&addr, small_config()).unwrap();
+        client.send_batch(&trace).unwrap();
+        drop(client); // no GOODBYE
+        let metrics = handle.metrics();
+        // Counted as a park lost at capacity, and no longer live.
+        wait_for("the refused park to be counted", || {
+            metrics.park_store_full.get() == 1
+                && metrics.park_evicted_capacity.get() == 1
+                && metrics.sessions_live.get() == 0
+        });
+        assert_eq!(metrics.sessions_parked.get(), 0);
+        assert_eq!(metrics.park_disk_records.get(), 0);
         handle.shutdown_and_join();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -52,7 +52,6 @@ const STATS: &[&str] = &[
     "park_disk_records",
     "park_disk_bytes",
     "store_recovery_ms",
-    "park_bg_spilled",
 ];
 
 /// The `# HELP` and `# TYPE` lines of a fresh two-shard server's
@@ -92,7 +91,7 @@ const EXPOSITION: &str = "\
 # TYPE cira_server_protocol_errors_total counter
 # HELP cira_server_sessions_live Sessions alive right now (attached or parked)
 # TYPE cira_server_sessions_live gauge
-# HELP cira_server_sessions_parked_total Sessions parked after an unclean disconnect
+# HELP cira_server_sessions_parked_total Sessions parked by a PARK frame or an unclean disconnect
 # TYPE cira_server_sessions_parked_total counter
 # HELP cira_server_sessions_resumed_total Sessions re-attached via RESUME
 # TYPE cira_server_sessions_resumed_total counter
@@ -120,8 +119,6 @@ const EXPOSITION: &str = "\
 # TYPE cira_server_park_disk_bytes gauge
 # HELP cira_server_store_recovery_ms Wall-clock milliseconds of the startup park recovery scan
 # TYPE cira_server_store_recovery_ms gauge
-# HELP cira_server_park_bg_spilled_total Hot parked sessions written to disk by the background spiller
-# TYPE cira_server_park_bg_spilled_total counter
 # HELP cira_server_park_sync_us Wall-clock microseconds of one park page-file sync
 # TYPE cira_server_park_sync_us histogram
 # HELP cira_build_info Build provenance; the value is always 1
