@@ -70,7 +70,8 @@ pub enum Stage {
     Accept = 0,
     /// A complete frame was parsed out of a connection's read buffer.
     Parse = 1,
-    /// A message crossed a shard inbox (hand-off, completion post).
+    /// A message crossed a shard inbox (a new connection, a completion
+    /// post).
     Inbox = 2,
     /// A batch run was checked out of its connection onto the pool.
     Checkout = 3,
@@ -84,8 +85,6 @@ pub enum Stage {
     WriteQueue = 7,
     /// A write-queue flush pushed bytes into the socket.
     WriteFlush = 8,
-    /// A connection migrated to its session's owning shard.
-    Migrate = 9,
     /// A parked session was checkpointed to the disk tier.
     ParkSpill = 10,
     /// A parked session was loaded back from the disk tier.
@@ -114,7 +113,6 @@ impl Stage {
             Stage::Complete => "complete",
             Stage::WriteQueue => "write_queue",
             Stage::WriteFlush => "write_flush",
-            Stage::Migrate => "migrate",
             Stage::ParkSpill => "park_spill",
             Stage::ParkLoad => "park_load",
             Stage::PageRead => "page_read",
@@ -135,7 +133,6 @@ impl Stage {
             6 => Stage::Complete,
             7 => Stage::WriteQueue,
             8 => Stage::WriteFlush,
-            9 => Stage::Migrate,
             10 => Stage::ParkSpill,
             11 => Stage::ParkLoad,
             12 => Stage::PageRead,
@@ -807,7 +804,7 @@ mod tests {
         let span = Span::begin(Stage::Parse, id, 42, 3);
         std::thread::sleep(std::time::Duration::from_millis(1));
         span.end_with(7);
-        instant(Stage::Migrate, id, 42, 3, 9);
+        instant(Stage::Complete, id, 42, 3, 9);
         let events: Vec<SpanEvent> = collect(None)
             .into_iter()
             .filter(|ev| ev.trace_id == id)
@@ -816,9 +813,9 @@ mod tests {
         let parse = events.iter().find(|e| e.stage == Stage::Parse).unwrap();
         assert!(parse.dur_ns >= 1_000_000, "span measured its sleep");
         assert_eq!((parse.token, parse.shard, parse.aux), (42, 3, 7));
-        let mig = events.iter().find(|e| e.stage == Stage::Migrate).unwrap();
-        assert_eq!(mig.dur_ns, 0, "instant events have no duration");
-        assert_eq!(mig.aux, 9);
+        let done = events.iter().find(|e| e.stage == Stage::Complete).unwrap();
+        assert_eq!(done.dur_ns, 0, "instant events have no duration");
+        assert_eq!(done.aux, 9);
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! A frame on the wire is `u32` little-endian body length followed by the
 //! body ([`crate::proto`] encodes bodies as type byte + payload). The
-//! reader enforces a maximum body length *before* allocating — a hostile
-//! length prefix costs nothing — and distinguishes three non-frame
-//! outcomes so the server's per-connection loop can react precisely:
+//! server parses its nonblocking sockets with [`FrameBuffer`]; the
+//! blocking [`read_frame`] serves the client and tests. Both refuse a
+//! body longer than the maximum before allocating it, and `read_frame`
+//! sizes its buffer by the bytes that arrive, not by the length the
+//! prefix claims. `read_frame` distinguishes three non-frame outcomes:
 //!
 //! * [`ReadOutcome::Eof`] — the peer closed cleanly at a frame boundary;
 //! * [`ReadOutcome::Idle`] — a socket read timed out with **no** bytes of
-//!   the next frame read yet (the server uses this tick to poll its
-//!   shutdown token without dropping the connection);
+//!   the next frame read yet (the caller decides whether to keep
+//!   waiting);
 //! * [`FrameError::Stalled`] — the peer went silent *mid-frame* for more
 //!   than `stall_ticks` consecutive timeouts (a slow-loris guard).
 
@@ -18,6 +20,9 @@ use std::io::{self, Read, Write};
 
 /// Default largest accepted frame body, bytes (8 MiB ≈ 2M records).
 pub const DEFAULT_MAX_FRAME: u32 = 8 << 20;
+
+/// Body bytes [`read_frame`] allocates before any arrive.
+const FIRST_BODY_ALLOC: usize = 64 << 10;
 
 /// Result of trying to read one frame.
 #[derive(Debug)]
@@ -126,7 +131,9 @@ fn fill(
 /// Reads one frame. The reader's socket read-timeout (if any) becomes the
 /// tick: a timeout before the first byte yields [`ReadOutcome::Idle`], and
 /// more than `stall_ticks` consecutive timeouts mid-frame yield
-/// [`FrameError::Stalled`].
+/// [`FrameError::Stalled`]. The body buffer starts at 64 KiB at most and
+/// doubles as it fills, so the allocation tracks the bytes that arrived,
+/// not the length the prefix claims.
 ///
 /// # Errors
 ///
@@ -153,12 +160,23 @@ pub fn read_frame(
             max: max_frame,
         });
     }
-    let mut body = vec![0u8; len as usize];
-    match fill(r, &mut body, true, &mut ticks) {
-        Ok(Some(())) => Ok(ReadOutcome::Frame(body)),
-        Ok(None) => unreachable!("started frames report Truncated at EOF"),
-        Err(FrameError::Io(e)) if is_timeout(&e) => Err(FrameError::Stalled),
-        Err(e) => Err(e),
+    let len = len as usize;
+    let mut body = vec![0u8; len.min(FIRST_BODY_ALLOC)];
+    let mut at = 0;
+    loop {
+        match fill(r, &mut body[at..], true, &mut ticks) {
+            Ok(Some(())) => {}
+            Ok(None) => unreachable!("started frames report Truncated at EOF"),
+            Err(FrameError::Io(e)) if is_timeout(&e) => return Err(FrameError::Stalled),
+            Err(e) => return Err(e),
+        }
+        at = body.len();
+        if at == len {
+            return Ok(ReadOutcome::Frame(body));
+        }
+        let grown = (2 * at).min(len);
+        body.reserve_exact(grown - at);
+        body.resize(grown, 0);
     }
 }
 
@@ -386,6 +404,45 @@ mod tests {
             buf[0] = self.data[self.at];
             self.at += 1;
             Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_huge_length_prefix_allocates_only_what_arrives() {
+        // A header claiming 256 MiB, then EOF: no read may be handed a
+        // buffer sized by the claim.
+        struct ClaimThenEof {
+            header: Vec<u8>,
+            largest: usize,
+        }
+        impl Read for ClaimThenEof {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                let n = self.header.len().min(buf.len());
+                buf[..n].copy_from_slice(&self.header[..n]);
+                self.header.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut r = ClaimThenEof {
+            header: (256u32 << 20).to_le_bytes().to_vec(),
+            largest: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut r, u32::MAX, 4),
+            Err(FrameError::Truncated)
+        ));
+        assert!(r.largest <= 64 << 10, "a read got {} bytes", r.largest);
+    }
+
+    #[test]
+    fn a_body_longer_than_the_first_allocation_arrives_whole() {
+        let body: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        match read_one(&wire, u32::MAX).unwrap() {
+            ReadOutcome::Frame(b) => assert_eq!(b, body),
+            other => panic!("{other:?}"),
         }
     }
 

@@ -27,8 +27,8 @@
 //!   teardown, writes its checkpoint when it happens;
 //! * [`server`] — N sharded epoll event loops (thread-per-core, not
 //!   thread-per-connection): nonblocking sockets with per-connection
-//!   parse buffers and write queues, stable session affinity for
-//!   resumes, batch execution on a shared
+//!   parse buffers and write queues, each connection on one shard for
+//!   its whole life, batch execution on a shared
 //!   [`cira_analysis::engine::pool::WorkerPool`] with completions waking
 //!   the owning shard, backpressure, graceful drain, capacity shedding,
 //!   and session parking;
@@ -47,7 +47,7 @@
 //!   The server also threads [`cira_obs::trace`](mod@cira_obs::trace)
 //!   flight-recorder spans through every pipeline stage (accept → parse →
 //!   checkout → score → complete → write, plus park spill/load and
-//!   cross-shard migration), exported as Chrome trace JSON via
+//!   store page I/O), exported as Chrome trace JSON via
 //!   `GET /trace` on the same listener, and written to
 //!   `CIRA_TRACE_DIR` on `SIGUSR1` and in automatic crash dumps
 //!   ([`server::ServerConfig::trace`]);

@@ -347,8 +347,6 @@ metrics_block! {
             "Parsed frames queued on this shard awaiting the pump";
         Gauge parse_buffer_bytes, "serve_shard_parse_buffer_bytes",
             "Bytes buffered in this shard's per-connection parse buffers";
-        Counter migrations_out, "serve_shard_migrations_out_total",
-            "Connections handed off to another shard for session affinity";
     ];
 }
 
@@ -525,7 +523,6 @@ mod tests {
         shards[0].wakeups.add(7);
         shards[1].ready_depth.set(2);
         shards[1].parse_buffer_bytes.set(512);
-        shards[1].migrations_out.inc();
         let reg = Registry::new("cira");
         register_shards(&shards, &reg);
         let text = reg.render();
@@ -536,7 +533,6 @@ mod tests {
         assert!(text.contains("cira_serve_shard_wakeups_total{shard=\"0\"} 7"));
         assert!(text.contains("cira_serve_shard_ready_depth{shard=\"1\"} 2"));
         assert!(text.contains("cira_serve_shard_parse_buffer_bytes{shard=\"1\"} 512"));
-        assert!(text.contains("cira_serve_shard_migrations_out_total{shard=\"1\"} 1"));
     }
 
     #[test]

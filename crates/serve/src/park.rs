@@ -571,7 +571,7 @@ mod tests {
         assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
         assert_eq!(park.take(3).err(), Some(NotResumed::Unknown));
         assert!(park.is_empty());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod tests {
         );
         assert_eq!(park.take(1).err(), Some(NotResumed::Unknown));
         assert!(park.is_empty());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -650,7 +650,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(reference.snapshot(), resumed.snapshot());
         assert!(park.is_empty(), "resume removes the disk record");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -670,7 +670,7 @@ mod tests {
         let r = park.take(1).unwrap();
         assert!(r.from_disk, "spilled session resumes from disk");
         assert!(!park.take(3).unwrap().from_disk, "recent session is hot");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -693,8 +693,7 @@ mod tests {
             SessionPark::with_disk(16, Duration::from_secs(60), &image, 0).unwrap();
         assert_eq!(n, 8);
         drop(recovered);
-        std::fs::remove_file(&image).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -717,7 +716,7 @@ mod tests {
         assert!(park.take(1).is_ok());
         assert!(park.insert(3, 3, refused).unwrap().wrote);
         assert_eq!(park.len(), 2);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -740,7 +739,7 @@ mod tests {
         for t in 1..=3u64 {
             assert!(park.take(t).unwrap().from_disk);
         }
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -760,7 +759,7 @@ mod tests {
             SessionPark::with_disk(4, Duration::from_millis(1), &path, 0).unwrap();
         assert_eq!(recovered, 0, "expired records die at recovery");
         assert_eq!(park.take(5).err(), Some(NotResumed::Unknown));
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -784,6 +783,6 @@ mod tests {
             other => panic!("expected Full, got {other:?}"),
         }
         assert_eq!(park.len(), 2);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

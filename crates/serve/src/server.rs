@@ -17,12 +17,10 @@
 //!   [`WorkerPool`], and the acks come back to the owning shard via its
 //!   inbox — heavy scoring work is multiplexed over the pool's threads
 //!   no matter how many connections exist.
-//! * **Session affinity**: a resume token `t` is owned by shard
-//!   `t % nshards` — `HELLO` mints tokens that map back to the issuing
-//!   shard, and a `RESUME` arriving anywhere else migrates the
-//!   connection (socket, buffers and all) to its owner before the park
-//!   lookup. A resumed session therefore always lands on the shard that
-//!   ran it before it parked.
+//! * **Resumes**: a `RESUME` is answered on the shard its connection
+//!   was accepted onto. Parked sessions live in one [`SessionPark`]
+//!   that every shard shares, so any shard can take one out; a
+//!   connection never changes shards.
 //! * **Backpressure**: a session with `max_inflight` undispatched
 //!   batches stops being read (its `EPOLLIN` interest is dropped) — the
 //!   client eventually blocks on TCP write, bounding memory per
@@ -199,17 +197,6 @@ impl Shared {
         z ^ (z >> 31)
     }
 
-    /// A fresh token owned by `shard` (`token % nshards == shard`), so
-    /// the session's eventual `RESUME` lands where it was minted.
-    fn next_token_for(&self, shard: usize, nshards: usize) -> u64 {
-        loop {
-            let t = self.next_token();
-            if nshards <= 1 || (t % nshards as u64) as usize == shard {
-                return t;
-            }
-        }
-    }
-
     /// TTL-sweeps the park if the sweep deadline has passed. Cheap when
     /// it hasn't: one lock, one comparison.
     fn maybe_sweep(&self) {
@@ -331,12 +318,12 @@ struct WriteItem {
     deadline: Option<Instant>,
 }
 
-/// All per-connection state, owned by exactly one shard at a time.
+/// All per-connection state, owned by the one shard it was handed to.
 #[derive(Debug)]
 struct ConnState {
     stream: TcpStream,
     fd: RawFd,
-    /// Epoll token on the owning shard (reassigned on migration).
+    /// Epoll token on the owning shard.
     token: u64,
     /// Incremental parse buffer filled on readiness.
     rbuf: FrameBuffer,
@@ -407,15 +394,6 @@ impl ConnState {
     }
 }
 
-/// A connection in flight between shards: everything it owns plus the
-/// `RESUME` frame that triggered the migration (re-dispatched on the
-/// owning shard).
-#[derive(Debug)]
-struct Handoff {
-    conn: ConnState,
-    resume: ClientFrame,
-}
-
 /// A finished batch run coming back from the pool to the owning shard.
 #[derive(Debug)]
 struct Done {
@@ -425,11 +403,10 @@ struct Done {
 }
 
 /// Messages posted to a shard's inbox (new sockets from the acceptor,
-/// migrating connections, batch completions, sync completions).
+/// batch completions, sync completions).
 #[derive(Debug)]
 enum ShardMsg {
     NewConn(TcpStream),
-    Handoff(Box<Handoff>),
     Done(Box<Done>),
     /// The sync a held reply waited for returned (`Err`: it failed).
     Synced {
@@ -463,23 +440,10 @@ fn conn_trace_id(shard: usize, conn_token: u64) -> u64 {
     ((shard as u64 + 1) << 32) | (conn_token & 0xffff_ffff)
 }
 
-/// What dispatching one frame decided.
-enum Action {
-    Continue,
-    CloseClean,
-    CloseAbrupt,
-    /// `RESUME` for a token another shard owns: migrate the connection.
-    Migrate {
-        owner: usize,
-        resume: ClientFrame,
-    },
-}
-
 /// One event-loop shard: an epoll instance, the connections it owns,
 /// and (on shard 0) the listener.
 struct Shard {
     index: usize,
-    nshards: usize,
     cfg: ServerConfig,
     pool: &'static WorkerPool,
     shared: Arc<Shared>,
@@ -569,10 +533,6 @@ impl Shard {
                     trace::instant(Stage::Inbox, 0, 0, self.index as u16, 0);
                     self.register_conn(stream);
                 }
-                Some(ShardMsg::Handoff(h)) => {
-                    trace::instant(Stage::Inbox, 0, 0, self.index as u16, 1);
-                    self.adopt(h);
-                }
                 Some(ShardMsg::Done(d)) => {
                     if trace::enabled() {
                         trace::instant(
@@ -603,7 +563,7 @@ impl Shard {
                     self.shared.metrics.connections_total.inc();
                     self.shared.metrics.connections_active.inc();
                     cira_obs::debug!("connection accepted", peer = peer);
-                    let target = self.rr % self.nshards;
+                    let target = self.rr % self.peers.len();
                     self.rr = self.rr.wrapping_add(1);
                     if target == self.index {
                         self.register_conn(stream);
@@ -651,23 +611,6 @@ impl Shard {
             conn.closing = Some(Close::Clean);
         }
         self.dispose(id, conn);
-    }
-
-    /// Receives a migrating connection and re-dispatches its `RESUME`.
-    fn adopt(&mut self, h: Box<Handoff>) {
-        let Handoff { mut conn, resume } = *h;
-        let id = self.next_id();
-        conn.token = id;
-        conn.interest = 0;
-        self.smetrics.connections.inc();
-        if self.epoll.add(conn.fd, 0, id).is_err() {
-            conn.closing = Some(Close::Abrupt);
-            conn.io_dead = true;
-            self.teardown(conn, false);
-            return;
-        }
-        conn.parsed.push_front(resume);
-        self.pump_and_dispose(id, conn);
     }
 
     /// Lands a finished batch run: the session checks back in, acks are
@@ -880,38 +823,12 @@ impl Shard {
 
     /// Parse → dispatch → finish-check → dispose, the common tail of
     /// every per-connection entry point. The connection is owned (out of
-    /// the map) for the duration and re-inserted unless it tears down or
-    /// migrates.
+    /// the map) for the duration and re-inserted unless it tears down.
     fn pump_and_dispose(&mut self, id: u64, mut conn: ConnState) {
         if conn.closing.is_none() {
             self.parse(&mut conn);
         }
-        if let Some((owner, resume)) = self.dispatch(id, &mut conn) {
-            let _ = self.epoll.del(conn.fd);
-            conn.interest = 0;
-            if trace::enabled() {
-                let token = match &resume {
-                    ClientFrame::Resume { token, .. } => *token,
-                    _ => 0,
-                };
-                trace::instant(
-                    Stage::Migrate,
-                    conn_trace_id(self.index, conn.token),
-                    token,
-                    self.index as u16,
-                    owner as u64,
-                );
-            }
-            self.smetrics.connections.dec();
-            self.smetrics.migrations_out.inc();
-            cira_obs::debug!(
-                "resume migrating to owning shard",
-                from = self.index,
-                to = owner
-            );
-            self.peers[owner].post(ShardMsg::Handoff(Box::new(Handoff { conn, resume })));
-            return;
-        }
+        self.dispatch(id, &mut conn);
         self.finish_checks(&mut conn);
         if conn.closing.is_some() {
             conn.parsed.clear();
@@ -969,12 +886,11 @@ impl Shard {
 
     /// Dispatches parsed frames in order until the connection is busy,
     /// condemned, or out of frames. Consecutive batches are checked out
-    /// as one pool job. Returns a migration target if a `RESUME` belongs
-    /// to another shard.
-    fn dispatch(&mut self, id: u64, conn: &mut ConnState) -> Option<(usize, ClientFrame)> {
+    /// as one pool job.
+    fn dispatch(&mut self, id: u64, conn: &mut ConnState) {
         loop {
             if conn.closing.is_some() || conn.busy {
-                return None;
+                return;
             }
             let batch_run = matches!(conn.parsed.front(), Some(ClientFrame::Batch { .. }))
                 && conn.active.is_some();
@@ -1000,15 +916,14 @@ impl Shard {
                 self.spawn_batch_job(id, active, run);
                 continue;
             }
-            let frame = conn.parsed.pop_front()?;
+            let Some(frame) = conn.parsed.pop_front() else {
+                return;
+            };
             if matches!(frame, ClientFrame::Batch { .. }) {
                 conn.queued_batches = conn.queued_batches.saturating_sub(1);
             }
-            match self.process_frame(conn, frame) {
-                Action::Continue => {}
-                Action::CloseClean => conn.closing = Some(Close::Clean),
-                Action::CloseAbrupt => conn.closing = Some(Close::Abrupt),
-                Action::Migrate { owner, resume } => return Some((owner, resume)),
+            if let Some(close) = self.process_frame(conn, frame) {
+                conn.closing = Some(close);
             }
         }
     }
@@ -1258,8 +1173,8 @@ impl Shard {
     /// respect to batches is structural: frames dispatch strictly in
     /// arrival order and never while a batch run is in flight, so every
     /// `SNAPSHOT`/`RESET`/`PARK`/`GOODBYE` observes all batches that
-    /// preceded it.
-    fn process_frame(&mut self, conn: &mut ConnState, frame: ClientFrame) -> Action {
+    /// preceded it. Returns how to close the connection, if it must.
+    fn process_frame(&mut self, conn: &mut ConnState, frame: ClientFrame) -> Option<Close> {
         let has_session = conn.active.is_some();
         let metrics = Arc::clone(&self.shared.metrics);
         match frame {
@@ -1272,7 +1187,7 @@ impl Shard {
                             "protocol version {version} not supported; this server speaks {PROTO_VERSION}"
                         ),
                     );
-                    return Action::CloseClean;
+                    return Some(Close::Clean);
                 }
                 // Load shedding: every live session (attached or parked)
                 // holds predictor + table state, so cap them and tell the
@@ -1296,9 +1211,9 @@ impl Shard {
                             ),
                         },
                     );
-                    return Action::CloseClean;
+                    return Some(Close::Clean);
                 }
-                let token = self.shared.next_token_for(self.index, self.nshards);
+                let token = self.shared.next_token();
                 match Session::from_hello(&config, token) {
                     Ok(session) => {
                         let session_id = self.shared.session_ids.fetch_add(1, Ordering::Relaxed);
@@ -1328,11 +1243,11 @@ impl Shard {
                             metrics.sessions_live.inc();
                         }
                         self.send(conn, &ack);
-                        Action::Continue
+                        None
                     }
                     Err(message) => {
                         self.conn_error(conn, code::BAD_SPEC, message);
-                        Action::CloseClean
+                        Some(Close::Clean)
                     }
                 }
             }
@@ -1345,19 +1260,7 @@ impl Shard {
                             "protocol version {version} not supported; this server speaks {PROTO_VERSION}"
                         ),
                     );
-                    return Action::CloseClean;
-                }
-                // Session affinity: tokens are owned by `token % nshards`.
-                // A resume landing elsewhere migrates the connection to
-                // its owner (which re-dispatches this same frame) —
-                // unless the server is draining, in which case any shard
-                // answers.
-                let owner = (token % self.nshards as u64) as usize;
-                if !has_session && owner != self.index && !self.draining {
-                    return Action::Migrate {
-                        owner,
-                        resume: ClientFrame::Resume { version, token },
-                    };
+                    return Some(Close::Clean);
                 }
                 metrics.resume_attempts.inc();
                 if has_session {
@@ -1366,7 +1269,7 @@ impl Shard {
                         code::MALFORMED,
                         "RESUME on a connection that already has a session".to_owned(),
                     );
-                    return Action::CloseAbrupt;
+                    return Some(Close::Abrupt);
                 }
                 trace::set_ctx(
                     conn_trace_id(self.index, conn.token),
@@ -1414,7 +1317,7 @@ impl Shard {
                         } else {
                             self.send(conn, &ack);
                         }
-                        Action::Continue
+                        None
                     }
                     Err(gone) => {
                         if let NotResumed::Destroyed { wrote } = gone {
@@ -1426,7 +1329,7 @@ impl Shard {
                             code::UNKNOWN_SESSION,
                             "resume token names no parked session (expired or evicted)".to_owned(),
                         );
-                        Action::CloseClean
+                        Some(Close::Clean)
                     }
                 }
             }
@@ -1434,11 +1337,11 @@ impl Shard {
             // connect, read the counters, and disconnect.
             ClientFrame::Stats => {
                 self.send(conn, &ServerFrame::StatsReply(metrics.snapshot()));
-                Action::Continue
+                None
             }
             ClientFrame::Goodbye => {
                 self.send(conn, &ServerFrame::GoodbyeAck);
-                Action::CloseClean
+                Some(Close::Clean)
             }
             _ if !has_session => {
                 self.conn_error(
@@ -1446,13 +1349,13 @@ impl Shard {
                     code::HELLO_REQUIRED,
                     "first frame must be HELLO".to_owned(),
                 );
-                Action::CloseClean
+                Some(Close::Clean)
             }
             ClientFrame::Batch { .. } => {
                 // Batches with a session are checked out as pool jobs in
                 // `dispatch`; they never reach this inline path.
                 debug_assert!(false, "BATCH dispatches to the worker pool");
-                Action::Continue
+                None
             }
             ClientFrame::Snapshot => {
                 let reply = conn
@@ -1462,7 +1365,7 @@ impl Shard {
                     .session
                     .snapshot();
                 self.send(conn, &reply);
-                Action::Continue
+                None
             }
             ClientFrame::Reset => {
                 conn.active
@@ -1472,7 +1375,7 @@ impl Shard {
                     .reset();
                 metrics.sessions_reset.inc();
                 self.send(conn, &ServerFrame::ResetAck);
-                Action::Continue
+                None
             }
             ClientFrame::Park => {
                 let Active { id, session } = conn.active.take().expect("session checked above");
@@ -1484,10 +1387,10 @@ impl Shard {
                         // tier it waits until a sync covers the checkpoint.
                         if outcome.wrote {
                             self.hold(conn, Held::Park { id, token });
-                            return Action::Continue;
+                            return None;
                         }
                         self.parked(conn, id, token);
-                        Action::CloseClean
+                        Some(Close::Clean)
                     }
                     Err(ParkRefusal::Full(session)) => {
                         // Transient: hand the session back and mirror BUSY.
@@ -1497,7 +1400,7 @@ impl Shard {
                             session: *session,
                         });
                         self.store_full(conn);
-                        Action::Continue
+                        None
                     }
                     Err(ParkRefusal::Disabled(session)) => {
                         // Permanent for this server config; typed ERROR.
@@ -1510,7 +1413,7 @@ impl Shard {
                             code::STORE_FULL,
                             "parking disabled on this server; session still attached".to_owned(),
                         );
-                        Action::Continue
+                        None
                     }
                 }
             }
@@ -1711,8 +1614,8 @@ impl ServerHandle {
         // stays honest either way — the process is exiting).
         let dropped = self.shared.park.shutdown_drain();
         self.metrics.sessions_live.add(-(dropped as i64));
-        // Sockets still in flight between shards (shutdown races a
-        // migration or a late accept) just close.
+        // Sockets still in flight to a shard (shutdown races a late
+        // accept) just close.
         for s in &self.shard_shared {
             s.inbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
@@ -1873,7 +1776,6 @@ fn serve_with_sync_hook(
         };
         built.push(Shard {
             index,
-            nshards,
             cfg: cfg.clone(),
             pool,
             shared: Arc::clone(&shared),

@@ -149,8 +149,6 @@ const EXPOSITION: &str = "\
 # TYPE cira_serve_shard_ready_depth gauge
 # HELP cira_serve_shard_parse_buffer_bytes Bytes buffered in this shard's per-connection parse buffers
 # TYPE cira_serve_shard_parse_buffer_bytes gauge
-# HELP cira_serve_shard_migrations_out_total Connections handed off to another shard for session affinity
-# TYPE cira_serve_shard_migrations_out_total counter
 ";
 
 #[test]

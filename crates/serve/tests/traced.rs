@@ -1,14 +1,15 @@
 //! Flight-recorder integration: a real server with tracing **enabled**
 //! must stay bit-identical to the offline engine (the recorder may
 //! observe the pipeline, never perturb it) and its dump must cover the
-//! whole request lifecycle — accept, parse, inbox hand-off, batch
-//! checkout, scoring (and its per-chunk kernel spans), completion,
-//! write queue/flush — plus a park spill, a park load, and a cross-shard
-//! resume migration. With a disk park tier, the dump also shows that
-//! every `PARKED_ACK` and `RESUMED` waited for an `fsync` on the
-//! durability thread that began after the request's page writes.
+//! whole request lifecycle — accept, parse, inbox post, batch checkout,
+//! scoring (and its per-chunk kernel spans), completion, write
+//! queue/flush — plus a park spill and a park load. With a disk park
+//! tier, the dump also shows that every `PARKED_ACK` and `RESUMED`
+//! waited for an `fsync` on the durability thread that began after the
+//! request's page writes, and that every `RESUME` was answered on the
+//! shard that accepted its connection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -164,6 +165,28 @@ fn replies_follow_a_covering_fsync(json: &str) -> usize {
     checked
 }
 
+/// Checks that every RESUME was answered on the shard that accepted its
+/// connection: each `park_load` span carries the trace id of an
+/// `accept` instant, and a trace id packs the shard with the
+/// connection's token on it. Returns how many resumes it checked.
+fn resumes_stay_on_their_accepting_shard(json: &str) -> usize {
+    let (events, _) = parse_dump(json);
+    let accepted: HashSet<u64> = events
+        .iter()
+        .filter(|e| e.name == "accept")
+        .map(|e| e.trace)
+        .collect();
+    let loads: Vec<&Event> = events.iter().filter(|e| e.name == "park_load").collect();
+    for load in &loads {
+        assert!(
+            accepted.contains(&load.trace),
+            "a resume was answered off the shard that accepted it (trace id {:#x})",
+            load.trace
+        );
+    }
+    loads.len()
+}
+
 #[test]
 fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     let park_dir = std::env::temp_dir().join(format!("cira-traced-park-{}", std::process::id()));
@@ -193,29 +216,29 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     let server_stats = client.snapshot_stats().expect("snapshot");
     assert_eq!(server_stats, local_stats, "tracing perturbed the results");
 
-    // Park/resume cycles until some resume lands on the shard that does
-    // not own the token (owner = token % shards, accepts round-robin, and
-    // every park mints a fresh random token — each cycle migrates with
-    // probability ~1/2, so 24 cycles cannot all stay home in practice).
+    // Park/resume cycles. Accepts round-robin across the two shards, so
+    // the resumes land on both.
+    const CYCLES: usize = 8;
     let mut token = client.park().expect("park");
-    let mut json = String::new();
-    let mut cycles = 0;
-    for _ in 0..24 {
+    for _ in 0..CYCLES {
         let mut resumed = Client::builder(&addr).resume(token).expect("resume");
         token = resumed.park().expect("re-park");
-        cycles += 1;
-        json = dump(http_addr);
-        if json.contains("\"migrate\"") {
-            break;
-        }
     }
+    let json = dump(http_addr);
 
     // The park is durable: each PARKED_ACK and RESUMED waited for a
     // sync on the durability thread that covered its page writes.
     assert_eq!(
         replies_follow_a_covering_fsync(&json),
-        1 + 2 * cycles,
+        1 + 2 * CYCLES,
         "every PARK and RESUME reply checked"
+    );
+    // A connection never changes shards: each RESUME was answered where
+    // its connection was accepted.
+    assert_eq!(
+        resumes_stay_on_their_accepting_shard(&json),
+        CYCLES,
+        "every RESUME checked"
     );
 
     // A loadable Chrome trace: one JSON object with a traceEvents array.
@@ -225,8 +248,7 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
     );
     assert!(json.contains("\"traceEvents\""), "{json}");
 
-    // Every lifecycle stage must appear, park spill/load and the
-    // cross-shard migration included.
+    // Every lifecycle stage must appear, park spill/load included.
     for stage in [
         "accept",
         "parse",
@@ -239,7 +261,6 @@ fn traced_server_is_bit_identical_and_dumps_every_lifecycle_stage() {
         "write_flush",
         "park_spill",
         "park_load",
-        "migrate",
     ] {
         assert!(
             json.contains(&format!("\"{stage}\"")),

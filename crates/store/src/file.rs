@@ -300,7 +300,7 @@ mod tests {
         let mut back = vec![0u8; PAGE_SIZE];
         pf.read_pages(1, &mut back).unwrap();
         assert_eq!(back, page);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
         assert!(pf.write_pages(2, &run).is_err());
         assert!(pf.read_pages(2, &mut run).is_err());
         pf.write_pages(1, &run).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -352,7 +352,7 @@ mod tests {
                 });
             }
         });
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -361,7 +361,7 @@ mod tests {
         std::fs::write(&path, vec![0xabu8; PAGE_SIZE]).unwrap();
         let err = PageFile::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..PAGE_SIZE / 2]).unwrap();
         assert!(PageFile::open(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -387,6 +387,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = PageFile::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

@@ -51,7 +51,7 @@
 //! let mut store = SessionStore::open(&path, 0).unwrap();
 //! let (_meta, blob) = store.get(0xfeed).unwrap();
 //! assert_eq!(Checkpoint::decode(&blob).unwrap(), checkpoint);
-//! # std::fs::remove_file(&path).unwrap();
+//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]

@@ -709,7 +709,7 @@ mod tests {
         let (m2, b2) = store.get(2).unwrap();
         assert_eq!(m2.session_id, 20);
         assert_eq!(b2, large);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -727,7 +727,7 @@ mod tests {
         assert_eq!(meta.session_id, 7);
         assert_eq!(meta.deadline_unix_ms, 123_456);
         assert_eq!(back, big);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -750,7 +750,7 @@ mod tests {
         let (_, back) = store.get(5).unwrap();
         assert_eq!(back, blob(9_000, 9));
         assert_eq!(store.len(), 1);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -765,7 +765,7 @@ mod tests {
         }
         let store = SessionStore::open(&path, 0).unwrap();
         assert!(store.is_empty(), "removed record must not resurrect");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// A crash image: the page file as a sync left it. Copied right
@@ -804,8 +804,7 @@ mod tests {
         for (t, b) in blobs.iter().enumerate() {
             assert_eq!(&recovered.get(t as u64).unwrap().1, b, "token {t}");
         }
-        std::fs::remove_file(&image).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -840,8 +839,7 @@ mod tests {
         let recovered = SessionStore::open(&image, 0).unwrap();
         let (_, back) = recovered.get(1).unwrap();
         assert!(back == blob(len, 1) || back == blob(len, 2));
-        std::fs::remove_file(&image).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -860,7 +858,7 @@ mod tests {
         // And removing one frees capacity.
         store.remove(1).unwrap();
         store.put(3, 3, 0, &blob(100, 3)).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -887,7 +885,7 @@ mod tests {
         assert!(matches!(store.get(2), Err(StoreError::NotFound(_))));
         // The dead chain's pages are reusable.
         store.put(3, 3, 0, &doomed).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -917,7 +915,7 @@ mod tests {
         }
         let store = SessionStore::open(&path, 0).unwrap();
         assert_eq!(store.get(8).unwrap().1, record);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -938,7 +936,7 @@ mod tests {
             store.is_empty(),
             "a chain with a torn page is dropped whole"
         );
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -969,7 +967,7 @@ mod tests {
         let store = SessionStore::open(&path, 0).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(6).unwrap().1, new, "higher epoch wins");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// Blob bytes that fill a two-page chain.
@@ -994,7 +992,7 @@ mod tests {
             .put(3, 3, 0, &blob(TWO_PAGES + 3 * PAYLOAD_PER_PAGE, 3))
             .unwrap();
         assert_eq!(store.index[&3].pages, [1, 2, 3, 4, 5], "from the free list");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// A store whose free list holds three two-page holes, pages 1–2, 5–6
@@ -1046,8 +1044,7 @@ mod tests {
             matches!(&err, StoreError::Corrupt(m) if m.contains("page 6: page checksum")),
             "{err}"
         );
-        std::fs::remove_file(&image).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -1089,7 +1086,7 @@ mod tests {
         assert_eq!(back, record);
         store.remove(4).unwrap();
         assert!(SessionStore::open(&path, 0).unwrap().is_empty());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// The calling thread's read and write system calls so far, `syscr`
@@ -1152,7 +1149,7 @@ mod tests {
             store.remove_unsynced(9).unwrap();
         });
         assert_eq!(remove, (0, 4), "remove_unsynced: (reads, writes)");
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[cfg(target_os = "linux")]
@@ -1166,7 +1163,7 @@ mod tests {
         let runs = (21 * DEFAULT_RECORDS).div_ceil(SCAN_RUN_PAGES);
         assert_eq!(open, (1 + runs, 0), "open: (reads, writes)");
         assert_eq!(store.unwrap().len(), DEFAULT_RECORDS as usize);
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -1186,7 +1183,7 @@ mod tests {
             pages_before,
             "freed pages found by the open-time scan are reused, not regrown"
         );
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// Default-size checkpoints that fill the 1,008 pages after the
@@ -1234,7 +1231,7 @@ mod tests {
             assert_eq!(store.get(t).unwrap().1, blob(82_473, t as u8), "token {t}");
         }
         assert_eq!(store.free, (295..=315).collect::<Vec<_>>());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -1251,6 +1248,6 @@ mod tests {
         assert_eq!(entries[1].1.deadline_unix_ms, 9_000);
         assert_eq!(store.meta(2).unwrap().deadline_unix_ms, 9_000);
         assert!(store.meta(3).is_none());
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }
